@@ -65,7 +65,14 @@ def ast_tokens(program: ast.Program) -> list[str]:
 
 
 def vectorize(program: ast.Program, dim: int = VECTOR_DIM) -> np.ndarray:
-    """Embed a (pruned) program into R^dim by signed feature hashing."""
+    """Embed a (pruned) program into R^dim by signed feature hashing.
+
+    Memoized on the (frozen) tree; the shared vector is read-only.
+    """
+    return program.fact(("vectorize", dim), lambda tree: _embed(tree, dim))
+
+
+def _embed(program: ast.Program, dim: int) -> np.ndarray:
     vector = np.zeros(dim, dtype=np.float64)
     for token in ast_tokens(program):
         index, sign = _bucket(token, dim)
@@ -73,6 +80,7 @@ def vectorize(program: ast.Program, dim: int = VECTOR_DIM) -> np.ndarray:
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector /= norm
+    vector.setflags(write=False)
     return vector
 
 

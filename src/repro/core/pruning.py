@@ -13,8 +13,10 @@ diagnostic span, or (c) defines a name a surviving statement uses
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..lang import ast_nodes as ast
-from ..lang.ast_nodes import clone, walk
+from ..lang.ast_nodes import walk
 from ..miri.errors import MiriError
 
 #: Method calls that are unsafe-adjacent even outside an `unsafe` block.
@@ -32,28 +34,35 @@ _UNSAFE_ADJACENT_CALLS = {
 
 def prune_program(program: ast.Program,
                   errors: list[MiriError] | None = None) -> ast.Program:
-    """Return a pruned clone of ``program`` (Algorithm 1)."""
-    errors = errors or []
-    pruned = clone(program)
-    error_lines = {e.span.line for e in errors if e.span.line}
+    """Return a pruned copy of ``program`` (Algorithm 1).
 
+    Only the errors' lines matter, so the pruned tree is memoized on the
+    (frozen) input per error-line set.  It is frozen too: new function,
+    body and program shells around the surviving items and statements,
+    which it shares with the input.
+    """
+    error_lines = frozenset(e.span.line for e in errors or () if e.span.line)
+    return program.fact(("pruned", error_lines),
+                        lambda tree: _prune(tree, error_lines))
+
+
+def _prune(program: ast.Program, error_lines: frozenset[int]) -> ast.Program:
     kept_items: list[ast.Item] = []
-    for item in pruned.items:
+    for item in program.items:
         if isinstance(item, ast.FnItem):
-            _prune_fn(item, error_lines)
-            if item.is_unsafe or item.body.stmts or item.body.tail is not None \
+            body = _prune_body(item, error_lines)
+            if item.is_unsafe or body.stmts or body.tail is not None \
                     or item.name == "main":
-                kept_items.append(item)
+                kept_items.append(replace(item, body=body))
         elif isinstance(item, (ast.StaticItem, ast.UnionItem)):
             kept_items.append(item)  # statics/unions are unsafe-relevant
         elif isinstance(item, ast.StructItem):
             kept_items.append(item)
         # UseItem / ConstItem are noise for repair purposes.
-    pruned.items = kept_items
-    return pruned
+    return replace(program, items=kept_items)
 
 
-def _prune_fn(fn: ast.FnItem, error_lines: set[int]) -> None:
+def _prune_body(fn: ast.FnItem, error_lines: frozenset[int]) -> ast.Block:
     block = fn.body
     keep: list[bool] = []
     for stmt in block.stmts:
@@ -75,10 +84,11 @@ def _prune_fn(fn: ast.FnItem, error_lines: set[int]) -> None:
             if isinstance(stmt, ast.LetStmt) and stmt.name in needed:
                 keep[index] = True
                 changed = True
-    block.stmts = [stmt for flag, stmt in zip(keep, block.stmts) if flag]
+    return replace(block, stmts=[stmt for flag, stmt in zip(keep, block.stmts)
+                                 if flag])
 
 
-def _is_relevant(stmt: ast.Stmt, error_lines: set[int]) -> bool:
+def _is_relevant(stmt: ast.Stmt, error_lines: frozenset[int]) -> bool:
     for node in walk(stmt):
         if isinstance(node, ast.Block) and node.is_unsafe:
             return True

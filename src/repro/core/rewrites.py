@@ -17,6 +17,15 @@ Every rule takes a :class:`~repro.lang.ast_nodes.Program` and returns a
 *transformed clone* or ``None`` when its pattern does not occur. Rules build
 replacement code by printing sub-expressions into source templates and
 re-parsing — robust and easy to audit.
+
+Input programs are frozen shared values (:mod:`repro.lang.ast_nodes`):
+:meth:`RewriteRule.apply` hands the rule body a private clone, the only
+tree a rule may edit, and anything spliced into that clone from a memoized
+parse is cloned first.  A rule may declare ``needs``: node-index keys
+(:func:`node_keys`) its pattern cannot match without, each key a
+``|``-separated set of alternatives.  ``apply`` checks them against the
+program's memoized index and returns ``None`` without cloning when one is
+absent; a declaration may skip work but never change an outcome.
 """
 
 from __future__ import annotations
@@ -47,15 +56,85 @@ class FixKind(enum.Enum):
     HALLUCINATION = "hallucination"
 
 
+def node_keys(program: ast.Program) -> frozenset[str]:
+    """The program's node-kind index, memoized on the (frozen) tree.
+
+    Keys: every node's class name; ``call:<last path segment>`` for path
+    calls, plus ``call:<segment>::<TyA,TyB>`` naming the classes of a
+    turbofish's type arguments, once in full and once per argument with
+    the others written ``_``; ``method:<name>``; ``unary:<op>``;
+    ``binop:<op>``, plus ``binop:<op>:expr`` when the right operand is not
+    an integer literal; ``cast:<TyClass>``; ``path:<last segment>`` for
+    qualified paths; ``unsafe_block`` and ``static_mut``.
+    """
+    return program.fact("node_keys", _index_nodes)
+
+
+def _index_nodes(program: ast.Program) -> frozenset[str]:
+    keys: set[str] = set()
+    add = keys.add
+    for node in walk(program):
+        add(type(node).__name__)
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.PathExpr):
+                keys.update(_call_keys(node.func))
+        elif isinstance(node, ast.MethodCall):
+            add("method:" + node.method)
+        elif isinstance(node, ast.Unary):
+            add("unary:" + node.op)
+        elif isinstance(node, ast.Binary):
+            add("binop:" + node.op)
+            if not isinstance(node.right, ast.IntLit):
+                add(f"binop:{node.op}:expr")
+        elif isinstance(node, ast.Cast):
+            add("cast:" + type(node.ty).__name__)
+        elif isinstance(node, ast.PathExpr):
+            if len(node.segments) > 1:
+                add("path:" + node.segments[-1])
+        elif isinstance(node, ast.Block):
+            if node.is_unsafe:
+                add("unsafe_block")
+        elif isinstance(node, ast.StaticItem):
+            if node.mutable:
+                add("static_mut")
+    return frozenset(keys)
+
+
+def _call_keys(func: ast.PathExpr) -> list[str]:
+    name = "call:" + func.segments[-1]
+    if not func.generic_args:
+        return [name]
+    args = [type(arg).__name__ for arg in func.generic_args]
+    keys = [name, f"{name}::<{','.join(args)}>"]
+    for index, arg in enumerate(args):
+        masked = ["_"] * len(args)
+        masked[index] = arg
+        keys.append(f"{name}::<{','.join(masked)}>")
+    return keys
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     name: str
     kind: FixKind
     description: str
     fn: Callable[[ast.Program], ast.Program | None]
+    #: Index keys the pattern cannot match without (each a set of
+    #: alternatives); ``None`` means undeclared: always clone and try.
+    needs: tuple[frozenset[str], ...] | None = None
+
+    def could_match(self, program: ast.Program) -> bool:
+        """False only when a declared need is absent from the program."""
+        if self.needs is None:
+            return True
+        keys = node_keys(program)
+        return all(not alternatives.isdisjoint(keys)
+                   for alternatives in self.needs)
 
     def apply(self, program: ast.Program) -> ast.Program | None:
-        """Apply to a clone; never mutates the input program."""
+        """Apply to a private clone; never mutates the input program."""
+        if not self.could_match(program):
+            return None
         duplicate = clone(program)
         try:
             return self.fn(duplicate)
@@ -67,9 +146,16 @@ class RewriteRule:
 REGISTRY: dict[str, RewriteRule] = {}
 
 
-def rewrite(name: str, kind: FixKind, description: str):
+def rewrite(name: str, kind: FixKind, description: str,
+            needs: str | None = None):
+    """Register a rule.  ``needs`` lists index keys separated by spaces,
+    each a ``|``-separated set of alternatives (``"call:drop|call:dealloc
+    Block"`` = a drop or dealloc call, and a block)."""
+    parsed = None if needs is None else tuple(
+        frozenset(need.split("|")) for need in needs.split())
+
     def decorate(fn):
-        REGISTRY[name] = RewriteRule(name, kind, description, fn)
+        REGISTRY[name] = RewriteRule(name, kind, description, fn, parsed)
         return fn
     return decorate
 
@@ -107,11 +193,19 @@ def _reparse(expr_src: str) -> ast.Expr:
     return parse_expr(expr_src)
 
 
+def _snippet_stmt(body_src: str) -> ast.Stmt:
+    """The first statement of ``fn __t() { body_src }`` as a private clone:
+    the parse is memoized and shared, and the caller splices the statement
+    into its own tree, which later edits (e.g. an ``is_unsafe`` flip) may
+    touch."""
+    program = parse_program(f"fn __t() {{ {body_src} }}")
+    return clone(program.fn("__t").body.stmts[0])
+
+
 def _parse_stmt(stmt_src: str) -> ast.Stmt:
     """Parse a single statement robustly (a sentinel keeps block-like
     statements from being swallowed as the function's tail expression)."""
-    program = parse_program(f"fn __t() {{ {stmt_src} let __sentinel = 0; }}")
-    return program.fn("__t").body.stmts[0]
+    return _snippet_stmt(f"{stmt_src} let __sentinel = 0;")
 
 
 def _unwrap_unsafe(expr: ast.Expr) -> ast.Expr:
@@ -134,7 +228,8 @@ def _stmt_uses_name(stmt: ast.Stmt, name: str) -> bool:
 
 
 @rewrite("replace_transmute_ref_with_cast", FixKind.REPLACE,
-         "mem::transmute::<&T, usize>(p) → p as *const T as usize")
+         "mem::transmute::<&T, usize>(p) → p as *const T as usize",
+         needs="call:transmute::<TyRef,TyInt>")
 def replace_transmute_ref_with_cast(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -150,7 +245,8 @@ def replace_transmute_ref_with_cast(program):
 
 
 @rewrite("replace_transmute_bytes_with_from_le", FixKind.REPLACE,
-         "mem::transmute::<[u8; N], uN>(x) → uN::from_le_bytes(x)")
+         "mem::transmute::<[u8; N], uN>(x) → uN::from_le_bytes(x)",
+         needs="call:transmute::<TyArray,TyInt>")
 def replace_transmute_bytes_with_from_le(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -167,7 +263,8 @@ def replace_transmute_bytes_with_from_le(program):
 
 
 @rewrite("replace_transmute_int_with_comparison", FixKind.REPLACE,
-         "mem::transmute::<u8, bool>(n) → n != 0")
+         "mem::transmute::<u8, bool>(n) → n != 0",
+         needs="call:transmute::<TyInt,TyBool>")
 def replace_transmute_int_with_comparison(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -183,7 +280,8 @@ def replace_transmute_int_with_comparison(program):
 
 
 @rewrite("replace_transmute_char_with_from_u32", FixKind.REPLACE,
-         "mem::transmute::<u32, char>(n) → char::from_u32(n).unwrap_or(...)")
+         "mem::transmute::<u32, char>(n) → char::from_u32(n).unwrap_or(...)",
+         needs="call:transmute::<TyInt,TyChar>")
 def replace_transmute_char_with_from_u32(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -199,7 +297,8 @@ def replace_transmute_char_with_from_u32(program):
 
 
 @rewrite("replace_transmute_fn_with_direct", FixKind.REPLACE,
-         "mem::transmute between fn-pointer types → the function itself")
+         "mem::transmute between fn-pointer types → the function itself",
+         needs="call:transmute::<TyFn,TyFn>")
 def replace_transmute_fn_with_direct(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -213,7 +312,7 @@ def replace_transmute_fn_with_direct(program):
 
 
 @rewrite("replace_set_len_with_resize", FixKind.REPLACE,
-         "v.set_len(n) → v.resize(n, 0)")
+         "v.set_len(n) → v.resize(n, 0)", needs="method:set_len")
 def replace_set_len_with_resize(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "set_len" \
@@ -228,7 +327,8 @@ def replace_set_len_with_resize(program):
 
 
 @rewrite("replace_get_unchecked_with_index", FixKind.REPLACE,
-         "v.get_unchecked(i) → v[i] (bounds-checked)")
+         "v.get_unchecked(i) → v[i] (bounds-checked)",
+         needs="method:get_unchecked|method:get_unchecked_mut")
 def replace_get_unchecked_with_index(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and \
@@ -242,7 +342,7 @@ def replace_get_unchecked_with_index(program):
 
 
 @rewrite("replace_uninit_with_zero_init", FixKind.REPLACE,
-         "MaybeUninit::uninit() → MaybeUninit::new(0)")
+         "MaybeUninit::uninit() → MaybeUninit::new(0)", needs="call:uninit")
 def replace_uninit_with_zero_init(program):
     for node in walk(program):
         if _is_path_call(node, "uninit") and \
@@ -254,7 +354,8 @@ def replace_uninit_with_zero_init(program):
 
 
 @rewrite("replace_static_mut_with_atomic", FixKind.REPLACE,
-         "static mut counter → AtomicUsize with fetch_add/load")
+         "static mut counter → AtomicUsize with fetch_add/load",
+         needs="static_mut")
 def replace_static_mut_with_atomic(program):
     target = None
     for item in program.items:
@@ -309,7 +410,8 @@ def replace_static_mut_with_atomic(program):
 
 
 @rewrite("replace_zeroed_ref_with_local", FixKind.REPLACE,
-         "mem::zeroed::<&T>() → reference to a fresh zero local")
+         "mem::zeroed::<&T>() → reference to a fresh zero local",
+         needs="call:zeroed")
 def replace_zeroed_ref_with_local(program):
     for node in walk(program):
         if _is_path_call(node, "zeroed") and node.func.generic_args:
@@ -319,9 +421,8 @@ def replace_zeroed_ref_with_local(program):
                 if location is None:
                     continue
                 block, index = location
-                zero_let = parse_program(
-                    f"fn __t() {{ let __zeroed_default: {target.target} = 0; }}"
-                ).fn("__t").body.stmts[0]
+                zero_let = _snippet_stmt(
+                    f"let __zeroed_default: {target.target} = 0;")
                 block.stmts.insert(index, zero_let)
                 replace_node(program, node.node_id,
                              _reparse("&__zeroed_default"))
@@ -330,7 +431,8 @@ def replace_zeroed_ref_with_local(program):
 
 
 @rewrite("replace_deref_with_original_value", FixKind.REPLACE,
-         "deref of int-forged pointer → the original variable")
+         "deref of int-forged pointer → the original variable",
+         needs="unary:* Cast unary:&|unary:&mut")
 def replace_deref_with_original_value(program):
     """For `let addr = &x ... as usize; ... *(addr as *const T)` chains,
     use `x` directly instead of laundering the pointer through an integer."""
@@ -384,7 +486,9 @@ def _original_place_of_addr(program, init: ast.Expr) -> str | None:
 
 
 @rewrite("guard_ptr_add_with_len_check", FixKind.ASSERT,
-         "unsafe { *p.add(i) } → bounds-guarded access with safe fallback")
+         "unsafe { *p.add(i) } → bounds-guarded access with safe fallback",
+         needs="unsafe_block unary:* method:add|method:offset"
+               " method:as_ptr|method:as_mut_ptr")
 def guard_ptr_add_with_len_check(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -420,7 +524,8 @@ def guard_ptr_add_with_len_check(program):
 
 
 @rewrite("guard_index_with_len_check", FixKind.ASSERT,
-         "v[i] with possibly-bad i → guarded access with safe fallback")
+         "v[i] with possibly-bad i → guarded access with safe fallback",
+         needs="Index")
 def guard_index_with_len_check(program):
     for node in walk(program):
         if not isinstance(node, ast.Index):
@@ -441,7 +546,8 @@ def guard_index_with_len_check(program):
 
 
 @rewrite("guard_nonnull_before_deref", FixKind.ASSERT,
-         "unsafe { *p } → null-guarded access with safe fallback")
+         "unsafe { *p } → null-guarded access with safe fallback",
+         needs="unsafe_block unary:*")
 def guard_nonnull_before_deref(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -460,7 +566,8 @@ def guard_nonnull_before_deref(program):
 
 
 @rewrite("guard_alignment_before_cast_read", FixKind.ASSERT,
-         "misaligned typed read → alignment-guarded with safe fallback")
+         "misaligned typed read → alignment-guarded with safe fallback",
+         needs="unsafe_block unary:* cast:TyRawPtr")
 def guard_alignment_before_cast_read(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -491,7 +598,8 @@ def guard_alignment_before_cast_read(program):
 
 
 @rewrite("guard_layout_nonzero", FixKind.ASSERT,
-         "alloc with possibly-zero layout → size max(1) guard")
+         "alloc with possibly-zero layout → size max(1) guard",
+         needs="call:from_size_align")
 def guard_layout_nonzero(program):
     for node in walk(program):
         if _is_path_call(node, "from_size_align") and node.args:
@@ -513,7 +621,8 @@ def guard_layout_nonzero(program):
 
 
 @rewrite("move_drop_after_last_use", FixKind.MODIFY,
-         "move the drop/free so it happens after the last use")
+         "move the drop/free so it happens after the last use",
+         needs="call:drop")
 def move_drop_after_last_use(program):
     main = program.fn("main")
     if main is None:
@@ -558,7 +667,8 @@ def move_drop_after_last_use(program):
 
 
 @rewrite("remove_second_free", FixKind.MODIFY,
-         "delete the duplicated drop/dealloc statement")
+         "delete the duplicated drop/dealloc statement",
+         needs="call:drop|call:dealloc")
 def remove_second_free(program):
     frees: list[ast.Stmt] = []
     for node in walk(program):
@@ -580,7 +690,9 @@ def remove_second_free(program):
 
 
 @rewrite("take_pointer_after_mutation", FixKind.MODIFY,
-         "move as_ptr/as_mut_ptr below the last container mutation")
+         "move as_ptr/as_mut_ptr below the last container mutation",
+         needs="method:as_ptr|method:as_mut_ptr method:push|method:resize"
+               "|method:insert|method:reserve|method:extend|method:remove")
 def take_pointer_after_mutation(program):
     main = program.fn("main")
     if main is None:
@@ -616,7 +728,8 @@ def take_pointer_after_mutation(program):
 
 
 @rewrite("join_thread_before_access", FixKind.MODIFY,
-         "move the join() so the parent's access is ordered after the child")
+         "move the join() so the parent's access is ordered after the child",
+         needs="call:spawn method:join")
 def join_thread_before_access(program):
     main = program.fn("main")
     if main is None:
@@ -640,7 +753,8 @@ def join_thread_before_access(program):
 
 
 @rewrite("add_missing_join", FixKind.MODIFY,
-         "bind the spawn result and join it before main exits")
+         "bind the spawn result and join it before main exits",
+         needs="call:spawn")
 def add_missing_join(program):
     main = program.fn("main")
     if main is None:
@@ -652,20 +766,16 @@ def add_missing_join(program):
         expr = stmt.expr
         if _is_path_call(expr, "spawn"):
             spawn_src = print_expr(expr)
-            replacement = parse_program(
-                f"fn __t() {{ let __handle = {spawn_src}; }}"
-            ).fn("__t").body.stmts[0]
-            block.stmts[index] = replacement
-            join_stmt = parse_program(
-                "fn __t() { __handle.join(); }"
-            ).fn("__t").body.stmts[0]
-            block.stmts.append(join_stmt)
+            block.stmts[index] = _snippet_stmt(
+                f"let __handle = {spawn_src};")
+            block.stmts.append(_snippet_stmt("__handle.join();"))
             return program
     return None
 
 
 @rewrite("protect_with_mutex", FixKind.MODIFY,
-         "static mut shared state → Mutex-protected static")
+         "static mut shared state → Mutex-protected static",
+         needs="static_mut")
 def protect_with_mutex(program):
     target = None
     for item in program.items:
@@ -714,7 +824,8 @@ def protect_with_mutex(program):
 
 
 @rewrite("write_before_assume_init", FixKind.MODIFY,
-         "insert mu.write(0) before assume_init")
+         "insert mu.write(0) before assume_init",
+         needs="method:assume_init")
 def write_before_assume_init(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "assume_init":
@@ -725,16 +836,15 @@ def write_before_assume_init(program):
             if let is None:
                 return None
             let.mutable = True
-            write_stmt = parse_program(
-                f"fn __t() {{ {name}.write(0); }}"
-            ).fn("__t").body.stmts[0]
+            write_stmt = _snippet_stmt(f"{name}.write(0);")
             if insert_before(program, node.node_id, write_stmt):
                 return program
     return None
 
 
 @rewrite("fix_dealloc_layout", FixKind.MODIFY,
-         "dealloc with the same layout the allocation used")
+         "dealloc with the same layout the allocation used",
+         needs="call:alloc|call:alloc_zeroed call:dealloc")
 def fix_dealloc_layout(program):
     alloc_layout_var = None
     for node in walk(program):
@@ -757,7 +867,8 @@ def fix_dealloc_layout(program):
 
 
 @rewrite("call_with_actual_signature", FixKind.MODIFY,
-         "call the target function with its true argument list")
+         "call the target function with its true argument list",
+         needs="call:transmute::<TyFn,_>")
 def call_with_actual_signature(program):
     """For fn-pointer misuse: drop the transmute and pad/trim call args to
     the callee's real signature (extra args filled with 0)."""
@@ -802,7 +913,7 @@ def call_with_actual_signature(program):
 
 
 @rewrite("read_unaligned_instead", FixKind.MODIFY,
-         "misaligned *p → p.read_unaligned()")
+         "misaligned *p → p.read_unaligned()", needs="unary:* cast:TyRawPtr")
 def read_unaligned_instead(program):
     for node in walk(program):
         if not (isinstance(node, ast.Unary) and node.op == "*"):
@@ -824,7 +935,8 @@ def read_unaligned_instead(program):
 
 
 @rewrite("correct_tail_dispatch", FixKind.MODIFY,
-         "dispatch the tail call through the correctly-typed function")
+         "dispatch the tail call through the correctly-typed function",
+         needs="call:transmute")
 def correct_tail_dispatch(program):
     """Tail-call misuse: a dispatcher returns `f(args)` through a transmuted
     pointer. Replace the laundered pointer with the real function."""
@@ -840,7 +952,8 @@ def correct_tail_dispatch(program):
 
 
 @rewrite("saturating_arith_on_extreme", FixKind.REPLACE,
-         "overflowing +/-/* near MAX/MIN → saturating_*")
+         "overflowing +/-/* near MAX/MIN → saturating_*",
+         needs="binop:+|binop:-|binop:* path:MAX|path:MIN")
 def saturating_arith_on_extreme(program):
     extreme_vars = set()
     for node in walk(program):
@@ -871,7 +984,8 @@ def saturating_arith_on_extreme(program):
 
 
 @rewrite("guard_division_nonzero", FixKind.ASSERT,
-         "a / b → zero-guarded division with safe fallback")
+         "a / b → zero-guarded division with safe fallback",
+         needs="binop:/:expr|binop:%:expr")
 def guard_division_nonzero(program):
     for node in walk(program):
         if isinstance(node, ast.Binary) and node.op in ("/", "%"):
@@ -888,7 +1002,7 @@ def guard_division_nonzero(program):
 
 
 @rewrite("replace_unwrap_with_unwrap_or", FixKind.REPLACE,
-         "opt.unwrap() → opt.unwrap_or(0)")
+         "opt.unwrap() → opt.unwrap_or(0)", needs="method:unwrap")
 def replace_unwrap_with_unwrap_or(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "unwrap" \
@@ -905,7 +1019,7 @@ def replace_unwrap_with_unwrap_or(program):
 
 
 @rewrite("mask_shift_amount", FixKind.MODIFY,
-         "a << b → a << (b % BITS)")
+         "a << b → a << (b % BITS)", needs="binop:<<|binop:>>")
 def mask_shift_amount(program):
     for node in walk(program):
         if isinstance(node, ast.Binary) and node.op in ("<<", ">>"):
@@ -920,7 +1034,8 @@ def mask_shift_amount(program):
 
 
 @rewrite("read_owner_instead_of_raw", FixKind.MODIFY,
-         "unsafe { *p } where p = &x as *T → read x directly")
+         "unsafe { *p } where p = &x as *T → read x directly",
+         needs="unary:* unary:&|unary:&mut")
 def read_owner_instead_of_raw(program):
     for node in walk(program):
         if not (isinstance(node, ast.Unary) and node.op == "*"):
@@ -940,7 +1055,8 @@ def read_owner_instead_of_raw(program):
 
 
 @rewrite("read_written_union_field", FixKind.MODIFY,
-         "read the union field that was actually written")
+         "read the union field that was actually written",
+         needs="UnionItem FieldAccess StructLit")
 def read_written_union_field(program):
     writes: dict[str, str] = {}
     for node in walk(program):
@@ -969,7 +1085,8 @@ def read_written_union_field(program):
 
 
 @rewrite("write_zero_after_alloc", FixKind.MODIFY,
-         "initialise freshly allocated heap memory before reading it")
+         "initialise freshly allocated heap memory before reading it",
+         needs="call:alloc|call:alloc_zeroed")
 def write_zero_after_alloc(program):
     for node in walk(program):
         if not (isinstance(node, ast.LetStmt) and node.init is not None):
@@ -993,7 +1110,8 @@ def write_zero_after_alloc(program):
 
 
 @rewrite("shorten_shared_borrow", FixKind.MODIFY,
-         "create the shared borrow only after the mutable write")
+         "create the shared borrow only after the mutable write",
+         needs="unary:& unary:* Assign|CompoundAssign")
 def shorten_shared_borrow(program):
     main = program.fn("main")
     if main is None:
@@ -1022,7 +1140,8 @@ def shorten_shared_borrow(program):
 
 
 @rewrite("hoist_write_before_shared", FixKind.MODIFY,
-         "perform the mutable write before the shared borrow is created")
+         "perform the mutable write before the shared borrow is created",
+         needs="unary:& unary:* Assign|CompoundAssign")
 def hoist_write_before_shared(program):
     main = program.fn("main")
     if main is None:
@@ -1053,7 +1172,8 @@ def hoist_write_before_shared(program):
 
 
 @rewrite("hoist_raw_use_before_reborrow", FixKind.MODIFY,
-         "use the raw pointer before the new borrow invalidates it")
+         "use the raw pointer before the new borrow invalidates it",
+         needs="cast:TyRawPtr|method:as_ptr|method:as_mut_ptr")
 def hoist_raw_use_before_reborrow(program):
     main = program.fn("main")
     if main is None:
@@ -1102,7 +1222,8 @@ def hoist_raw_use_before_reborrow(program):
 
 
 @rewrite("release_lock_before_relock", FixKind.MODIFY,
-         "drop the first guard before taking the lock again")
+         "drop the first guard before taking the lock again",
+         needs="method:lock")
 def release_lock_before_relock(program):
     main = program.fn("main")
     if main is None:
@@ -1116,16 +1237,15 @@ def release_lock_before_relock(program):
                 if first_guard is None:
                     first_guard = (index, stmt.name)
                     continue
-                drop_stmt = parse_program(
-                    f"fn __t() {{ drop({first_guard[1]}); }}"
-                ).fn("__t").body.stmts[0]
+                drop_stmt = _snippet_stmt(f"drop({first_guard[1]});")
                 block.stmts.insert(index, drop_stmt)
                 return program
     return None
 
 
 @rewrite("fix_call_arity", FixKind.MODIFY,
-         "pad/trim a fn-pointer call to the target's real arity")
+         "pad/trim a fn-pointer call to the target's real arity",
+         needs="Call LetStmt")
 def fix_call_arity(program):
     for node in walk(program):
         if not (isinstance(node, ast.Call)
@@ -1151,7 +1271,8 @@ def fix_call_arity(program):
 
 
 @rewrite("replace_int_fn_transmute_with_fn", FixKind.MODIFY,
-         "int→fn transmute → a real function with the declared signature")
+         "int→fn transmute → a real function with the declared signature",
+         needs="call:transmute::<TyInt,TyFn>")
 def replace_int_fn_transmute_with_fn(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -1172,7 +1293,8 @@ def replace_int_fn_transmute_with_fn(program):
 
 
 @rewrite("store_valid_bool", FixKind.MODIFY,
-         "writes of out-of-range byte into a bool location → write 1")
+         "writes of out-of-range byte into a bool location → write 1",
+         needs="Assign unary:* cast:TyRawPtr")
 def store_valid_bool(program):
     bool_raws = set()
     for node in walk(program):
@@ -1205,7 +1327,7 @@ def store_valid_bool(program):
 
 
 @rewrite("hallu_remove_unsafe_block", FixKind.HALLUCINATION,
-         "delete an unsafe marker (breaks E0133)")
+         "delete an unsafe marker (breaks E0133)", needs="unsafe_block")
 def hallu_remove_unsafe_block(program):
     for node in walk(program):
         if isinstance(node, ast.Block) and node.is_unsafe:
@@ -1215,7 +1337,8 @@ def hallu_remove_unsafe_block(program):
 
 
 @rewrite("hallu_perturb_constant", FixKind.HALLUCINATION,
-         "change an integer literal (silently breaks semantics)")
+         "change an integer literal (silently breaks semantics)",
+         needs="IntLit")
 def hallu_perturb_constant(program):
     literals = [n for n in walk(program)
                 if isinstance(n, ast.IntLit) and n.value not in (0, 1)]
@@ -1229,7 +1352,8 @@ def hallu_perturb_constant(program):
 
 
 @rewrite("retouch_output_constant", FixKind.HALLUCINATION,
-         "needless rewrite of a load-bearing constant near the fix")
+         "needless rewrite of a load-bearing constant near the fix",
+         needs="LetStmt IntLit")
 def retouch_output_constant(program):
     """Perturb a literal that actually flows into observable behaviour
     (skips incidental helper statements): models regenerating a whole
@@ -1285,26 +1409,25 @@ HALLUCINATION_RULES = [r.name for r in rules_of_kind(FixKind.HALLUCINATION)]
 
 def _patch_int_literal(predicate):
     """Build a patch that flips the first matching IntLit after the base
-    rule ran (e.g. a guard's `else { 0 }` fallback becomes `else { 1 }`)."""
+    rule ran (e.g. a guard's `else { 0 }` fallback becomes `else { 1 }`);
+    ``predicate(literal, parent)``."""
     def patch(program):
+        parents = ast.parent_map(program)
         for node in walk(program):
-            if isinstance(node, ast.IntLit) and predicate(node, program):
+            if isinstance(node, ast.IntLit) and \
+                    predicate(node, parents.get(node.node_id)):
                 node.value = 1 if node.value == 0 else node.value - 1
                 return program
         return program
     return patch
 
 
-def _is_guard_fallback(lit: ast.IntLit, program) -> bool:
-    parents = ast.parent_map(program)
-    parent = parents.get(lit.node_id)
+def _is_guard_fallback(lit: ast.IntLit, parent) -> bool:
     return (isinstance(parent, ast.Block) and parent.tail is lit
             and lit.value == 0)
 
 
-def _is_zero_fill_arg(lit: ast.IntLit, program) -> bool:
-    parents = ast.parent_map(program)
-    parent = parents.get(lit.node_id)
+def _is_zero_fill_arg(lit: ast.IntLit, parent) -> bool:
     if isinstance(parent, ast.MethodCall) and parent.method in (
             "resize", "unwrap_or") and lit.value == 0:
         return True
@@ -1379,7 +1502,7 @@ def _register_sloppy_variants() -> None:
         REGISTRY[name] = RewriteRule(
             name, base.kind,
             f"{base.description} — careless constants (semantics drift)",
-            fn,
+            fn, base.needs,
         )
 
 

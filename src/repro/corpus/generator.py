@@ -412,7 +412,7 @@ def _inert_runs(body: ast.Block, program: ast.Program) -> list[list[int]]:
 def mutate_reorder(case: UbCase, rng: random.Random) -> tuple[str, str]:
     """Permute a run of provably-inert statements in ``main`` — the UB
     site provably survives, the fingerprint does not."""
-    program = parse_program(case.source)
+    program = ast.clone(parse_program(case.source))  # edited in place below
     main = program.fn("main")
     if main is None:
         raise MutationSkip("no main function")
@@ -450,7 +450,7 @@ def mutate_inject(case: UbCase, rng: random.Random) -> tuple[str, str]:
 def mutate_perturb(case: UbCase, rng: random.Random) -> tuple[str, str]:
     """Nudge integer literals inside provably-inert statements of the
     buggy program — behaviour-preserving, fingerprint-changing."""
-    program = parse_program(case.source)
+    program = ast.clone(parse_program(case.source))  # edited in place below
     main = program.fn("main")
     if main is None:
         raise MutationSkip("no main function")

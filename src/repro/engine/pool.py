@@ -94,10 +94,12 @@ def cancel_and_wait(futures) -> None:
     (detector stats, memos) under whatever runs next.  Owned ``with
     Executor()`` blocks used to provide this via ``__exit__``'s join;
     every lease-based submit/collect loop calls this instead.
+
+    Only futures that refused to cancel are waited on: a cancelled future
+    that is still queued counts as done only once a worker dequeues it,
+    which can take as long as some unrelated running task.
     """
-    for future in futures:
-        future.cancel()
-    wait(list(futures))
+    wait([future for future in futures if not future.cancel()])
 
 
 class CoreBudget:

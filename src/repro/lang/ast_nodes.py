@@ -1,10 +1,15 @@
 """AST node definitions for the mini-Rust subset.
 
-Nodes are plain mutable dataclasses (agents rewrite trees in place or via
-:func:`clone`). Every node carries a :class:`~repro.lang.span.Span` pointing
-at the original source so diagnostics and knowledge-base entries can reference
-locations, and a ``node_id`` that is unique within a parse, which the AST
-pruning algorithm and the rewrite engine use to address nodes.
+Nodes are dataclasses, but a parsed :class:`Program` is a *frozen shared
+value*: :func:`~repro.lang.parser.parse_program` hands every caller the same
+memoized tree, so nothing may edit a tree it did not build.  Code that edits
+takes a private :func:`clone` first (a rewrite rule's clone is the only place
+the repair loop ever mutates a tree) and treats the result as frozen once it
+is handed on.  Freezing is what lets a program carry memoized facts (see
+:meth:`Program.fact`).  Every node carries a :class:`~repro.lang.span.Span`
+pointing at the original source so diagnostics and knowledge-base entries
+can reference locations, and a ``node_id`` that is unique within a tree,
+which the AST pruning algorithm and the rewrite engine use to address nodes.
 """
 
 from __future__ import annotations
@@ -388,6 +393,31 @@ class UseItem(Item):
 @dataclass
 class Program(Node):
     items: list[Item] = dc_field(default_factory=list)
+
+    #: Memoized per-tree facts (printed text, embeddings, ...).  A slot, not
+    #: a field: :func:`clone`, ``==``, :func:`walk`, :func:`parent_map` and
+    #: pickling only see ``__dict__``, so facts never leave their tree.
+    __slots__ = ("_facts",)
+
+    def __getstate__(self):
+        return self.__dict__
+
+    def fact(self, key, compute):
+        """``compute(self)``, memoized on this tree under ``key``.
+
+        Sound only because trees are frozen once shared (module docstring):
+        a fact is computed at most once per tree and dies with it.  Racing
+        threads may both compute a fact; the values are equal.
+        """
+        try:
+            facts = self._facts
+        except AttributeError:
+            facts = self._facts = {}
+        try:
+            return facts[key]
+        except KeyError:
+            value = facts[key] = compute(self)
+            return value
 
     def fn(self, name: str) -> FnItem | None:
         """Look up a function item by name."""

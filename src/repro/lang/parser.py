@@ -812,15 +812,16 @@ def parse_program(source: str) -> ast.Program:
 
     Memoized on the source text: a repair round re-parses the same unchanged
     input many times (every engine instance, every campaign repeat), so the
-    lex+parse runs once per distinct source and subsequent calls return a
-    fresh :func:`~repro.lang.ast_nodes.clone` of the cached tree.  Cloning
-    keeps callers isolated — agents rewrite ASTs in place, and a mutation
-    must never leak into later parses — and reassigns node ids, which are
-    only ever used as within-tree identities, never compared across parses
-    or ordered.  Unparseable sources are not cached (``lru_cache`` does not
-    memoize raised exceptions); they stay rare and cheap to re-reject.
+    lex+parse runs once per distinct source and every call returns the
+    *same* cached tree.  That tree is a frozen shared value (see
+    :mod:`repro.lang.ast_nodes`): callers that edit must
+    :func:`~repro.lang.ast_nodes.clone` it first, and the facts memoized on
+    it (printed text, embeddings, pruned forms) serve every later caller.
+    Node ids are unique within the tree.  Unparseable sources are not
+    cached (``lru_cache`` does not memoize raised exceptions); they stay
+    rare and cheap to re-reject.
     """
-    return ast.clone(_parse_program_cached(source))
+    return _parse_program_cached(source)
 
 
 def parse_expr(source: str) -> ast.Expr:

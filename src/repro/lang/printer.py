@@ -289,7 +289,12 @@ def _escape(text: str) -> str:
 
 
 def print_program(program: ast.Program) -> str:
-    """Render a full program to source text."""
+    """Render a full program to source text, memoized on the tree (the
+    repair loop re-prints the same frozen program every round)."""
+    return program.fact("print", _print_fresh)
+
+
+def _print_fresh(program: ast.Program) -> str:
     return Printer().print_program(program)
 
 

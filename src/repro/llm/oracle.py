@@ -195,14 +195,8 @@ def extract_features(client: LLMClient, program: ast.Program,
         choices = CONFUSABLE.get(true_category, [])
         if choices:
             predicted = rng.choice(choices)
-    unsafe_blocks = sum(
-        1 for node in ast.walk(program)
-        if isinstance(node, ast.Block) and node.is_unsafe)
-    unsafe_calls = sum(
-        1 for node in ast.walk(program)
-        if isinstance(node, ast.MethodCall)
-        and node.method in ("read", "write", "add", "offset", "set_len",
-                            "assume_init", "get_unchecked"))
+    unsafe_blocks, unsafe_calls = program.fact("unsafe_counts",
+                                               _unsafe_counts)
     return ExtractedFeatures(
         predicted_category=predicted,
         true_category=true_category,
@@ -211,6 +205,22 @@ def extract_features(client: LLMClient, program: ast.Program,
         unsafe_call_count=unsafe_calls,
         error_message=report.errors[0].message if report.errors else "",
     )
+
+
+_UNSAFE_METHODS = frozenset(("read", "write", "add", "offset", "set_len",
+                             "assume_init", "get_unchecked"))
+
+
+def _unsafe_counts(program: ast.Program) -> tuple[int, int]:
+    """(unsafe blocks, unsafe-API method calls), in one walk."""
+    blocks = calls = 0
+    for node in ast.walk(program):
+        if isinstance(node, ast.Block) and node.is_unsafe:
+            blocks += 1
+        elif isinstance(node, ast.MethodCall) \
+                and node.method in _UNSAFE_METHODS:
+            calls += 1
+    return blocks, calls
 
 
 def _true_category(report: MiriReport) -> UbKind:

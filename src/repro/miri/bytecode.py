@@ -671,12 +671,12 @@ def compile_source(source: str) -> CompiledProgram:
     """Parse (through the parser's memo) and compile ``source``, memoized
     per exact text.
 
-    The compiled program owns its AST: it compiles against the parser
-    memo's private tree, which :func:`~repro.lang.parser.parse_program`
-    never hands to callers un-cloned — so the cached code can never be
-    invalidated by an agent rewriting a returned tree in place.  This is
-    also the VM's structural speed win: a memo hit skips both the parse
-    *and* the per-run ``ast.clone`` deep copy the tree engine pays.
+    The compiled program references the parser memo's tree, the same
+    frozen value :func:`~repro.lang.parser.parse_program` hands every
+    caller; no caller edits a shared tree (agents rewrite private clones),
+    so the cached code can never be invalidated under it.  A memo hit
+    skips the parse and the lowering; the tree engine re-walks the AST on
+    every run.
     """
     from ..lang.parser import _parse_program_cached
     program = _parse_program_cached(source)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import rewrites
 from repro.core.rewrites import FixKind, REGISTRY, apply_rule, applicable_rules
 from repro.lang import parse_program, print_program
+from repro.lang.printer import Printer
 from repro.miri import detect_ub
 
 
@@ -27,11 +28,14 @@ class TestRegistry:
             assert REGISTRY[name].kind is FixKind.HALLUCINATION
 
     def test_apply_never_mutates_input(self):
+        # Printer() directly: print_program's per-tree memo would hide an
+        # in-place edit.
         source = "fn main() { let x = i32::MAX; let y = x + 1; }"
         program = parse_program(source)
-        before = print_program(program)
-        apply_rule(program, "saturating_arith_on_extreme")
-        assert print_program(program) == before
+        before = Printer().print_program(program)
+        out = apply_rule(program, "saturating_arith_on_extreme")
+        assert out is not program and "saturating_add" in print_program(out)
+        assert Printer().print_program(program) == before
 
     def test_unknown_rule_returns_none(self):
         assert apply_named("fn main() { }", "no_such_rule") is None

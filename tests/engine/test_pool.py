@@ -1,6 +1,7 @@
 """ExecutorService: leasing, idle reaping, the core budget, fork reset."""
 
 import os
+import time
 
 import pytest
 
@@ -291,8 +292,11 @@ class TestCancelAndWait:
             blocker = pool.submit(slow)  # occupies the single worker
             assert started.wait(timeout=10)
             queued = [pool.submit(slow) for _ in range(3)]
-            # Queued tasks cancel outright — they never execute.
+            # Queued tasks cancel outright — they never execute, and the
+            # call does not wait for the running blocker to dequeue them.
+            began = time.monotonic()
             cancel_and_wait(queued)
+            assert time.monotonic() - began < 1.0
             assert all(future.cancelled() for future in queued)
             # A running task cannot cancel; the call joins it instead,
             # so nothing keeps executing behind a propagating error.
