@@ -2,7 +2,7 @@
 """Model-portfolio smoke: ensembles vs standalone profiles, with hard gates.
 
 Stages, one artifact (``BENCH_ensemble.json``, schema
-``repro.bench_ensemble/3`` — see docs/reference.md for the changelog):
+``repro.bench_ensemble/4`` — see docs/reference.md for the changelog):
 
 1. **Execution-layer checks** on a three-category subset: the composite
    arms run byte-identically under ``executor="serial"``,
@@ -15,21 +15,22 @@ Stages, one artifact (``BENCH_ensemble.json``, schema
    prove that the ``serial|thread|process`` member-pool backends are
    byte-identical and that concurrent voting elects the same winners as
    sequential voting.
-2. **Batched verification**: RustBrain with ``batch_verify=on`` produces
-   outcomes identical to ``batch_verify=off`` while executing fewer
-   detector (interpreter) runs, and a scored campaign answers strictly
-   more verification requests than it runs interpreters — the
-   detector-invocations-per-repaired-case amortization.
-3. **Fingerprint dedup**: a multi-arm multi-member campaign with the
-   normalized-AST fingerprint layer on (verifier dedup + the
-   process-wide case-detection memo, the default) produces repair
-   outcomes byte-identical to the same campaign with ``fingerprint=off``
-   members and the case memo disabled, while executing strictly fewer
+2. **Verdict memo**: RustBrain repairing a subset once per repeat seed
+   with the process-wide verdict memo on produces outcomes identical to
+   the same sweep with the memo disabled, while executing fewer detector
+   (interpreter) runs, each leg from cold memos; and a scored campaign
+   answers strictly more verification requests than it runs
+   interpreters — the detector-invocations-per-repaired-case
+   amortization.
+3. **Ensemble memo**: a multi-arm multi-member campaign with the verdict
+   memo on (the default) produces repair outcomes byte-identical to the
+   same campaign with the memo disabled, while executing strictly fewer
    interpreter runs per case.  (The exec-metric trace memo keys by
    fingerprint in *both* legs, so the off baseline is a lower bound on
-   the true PR-4 run count — the measured reduction is conservative.)
+   the memo-free run count — the measured reduction is conservative.)
    A probe batch of formatting-divergent corpus duplicates additionally
-   gates that the normalized layer itself answers them in one run each.
+   gates that :func:`~repro.miri.detect_ub_batch`'s normalized
+   fingerprint dedup answers them in one run each.
 4. **The headline claim** (sequential mode only) on the full corpus,
    repeat-sampled across seeds: the cascade arm (cheap GPT-3.5 pass
    first, full GPT-4 RustBrain only on failure) beats **every**
@@ -62,29 +63,25 @@ from repro.engine import ResultCache, create_engine
 from repro.miri import CASE_MEMO, DETECTOR_STATS
 from repro.miri.errors import UbKind
 
-SCHEMA = "repro.bench_ensemble/3"
+SCHEMA = "repro.bench_ensemble/4"
 DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_ensemble.json"
 
 #: Identity-check subset: small enough for a serial reference run, wide
 #: enough to exercise fast members, slow escalation, and switch routing.
 CHECK_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC, UbKind.STACK_BORROW]
-#: Batched-verification subset (run twice, so kept lean).
-VERIFY_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
-#: Fingerprint A/B subset (also run twice).
-FINGERPRINT_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
 CHECK_SEED = 3
+#: Verdict-memo A/B subset (run twice, so kept lean) and the repeat seeds
+#: each leg sweeps: like the paper's repeat-sampled sweeps, the second
+#: pass re-verifies the rewrites the first one verified.
+VERIFY_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
+VERIFY_SEEDS = (CHECK_SEED, CHECK_SEED + 1)
+#: Ensemble-memo A/B subset (also run twice).
+ENSEMBLE_MEMO_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
 
-#: The fingerprint A/B campaign: multi-arm, multi-member, members and
-#: routes pinned explicitly so the ``fingerprint=off`` variant differs in
-#: nothing but the dedup layer under test.
-FINGERPRINT_ARMS = {
-    "on": ("cascade?members=gpt-3.5+rustbrain:gpt-4",
-           "switch?members=claude-3.5+rustbrain:gpt-4&fallback=0"),
-    "off": ("cascade?members=gpt-3.5;fingerprint=off"
-            "+rustbrain;fingerprint=off:gpt-4",
-            "switch?members=claude-3.5;fingerprint=off"
-            "+rustbrain;fingerprint=off:gpt-4&fallback=0"),
-}
+#: The ensemble-memo A/B campaign: multi-arm, multi-member, members and
+#: routes pinned explicitly.
+ENSEMBLE_MEMO_ARMS = ("cascade?members=gpt-3.5+rustbrain:gpt-4",
+                      "switch?members=claude-3.5+rustbrain:gpt-4&fallback=0")
 
 
 def _arm_payload(result) -> str:
@@ -104,18 +101,6 @@ def _winners(result, label: str) -> list:
     arm = next(arm for arm in result.arms if arm.label == label)
     return [(report.case, report.passed, report.repaired_source)
             for report in arm.reports]
-
-
-def _strip_member_specs(entry: dict) -> dict:
-    """One report dict minus the strings that spell the arm's spec — the
-    engine label and each member's spec string differ legitimately
-    between the fingerprint on/off variants; nothing else may."""
-    entry = dict(entry)
-    entry.pop("engine")
-    entry["members"] = [{key: value for key, value in member.items()
-                         if key != "member"}
-                        for member in entry.get("members", [])]
-    return entry
 
 
 def _reports_sans_label(result, label: str) -> str:
@@ -191,44 +176,62 @@ def _identity_checks(member_workers: int) -> tuple[dict, dict]:
     return checks, summary
 
 
-def _verification_checks() -> tuple[dict, dict]:
-    """Batched S2 verification: identical outcomes, fewer detector runs."""
+def _cold_memos() -> None:
+    """Start a leg from cold detector memos and zeroed counters, so its
+    published run count owes nothing to an earlier stage or leg."""
     from repro.core.evaluate import clear_trace_memo
-    # Published run counts must not inherit warmth from the identity stage
-    # (same cases, same seed, same process).
     clear_trace_memo()
     CASE_MEMO.clear()
+    DETECTOR_STATS.reset()
+
+
+def _memo_leg(enabled: bool, run):
+    """``run()`` from cold memos with the verdict memo on or off; returns
+    its result and the detector counters it left."""
+    _cold_memos()
+    CASE_MEMO.enabled = enabled
+    try:
+        result = run()
+    finally:
+        CASE_MEMO.enabled = True
+    return result, DETECTOR_STATS.snapshot()
+
+
+def _verification_checks() -> tuple[dict, dict]:
+    """Verification through the verdict memo: identical outcomes, fewer
+    detector runs."""
     dataset = load_dataset().subset(VERIFY_CATEGORIES)
     cases = list(dataset)
+
+    def sweep():
+        return [create_engine("rustbrain", seed=seed).repair(
+                    case.source, case.difficulty)
+                for seed in VERIFY_SEEDS for case in cases]
+
     outcomes: dict[str, list] = {}
     runs: dict[str, int] = {}
-    for flag in ("off", "on"):
-        DETECTOR_STATS.reset()
-        engine = create_engine(f"rustbrain?batch_verify={flag}",
-                               seed=CHECK_SEED)
-        outcomes[flag] = [engine.repair(case.source, case.difficulty)
-                          for case in cases]
-        runs[flag] = DETECTOR_STATS.snapshot()["runs"]
+    for mode in ("off", "on"):
+        outcomes[mode], counters = _memo_leg(mode == "on", sweep)
+        runs[mode] = counters["runs"]
     # A scored campaign exercises the other amortization layers too (the
     # exec-metric trace memo and batched scoring): strictly more
     # verification requests answered than interpreters executed.
-    DETECTOR_STATS.reset()
-    campaign = ensemble_campaign(dataset, seed=CHECK_SEED,
-                                 executor="serial",
-                                 arms=("gpt-4", "cascade")).run()
-    counters = DETECTOR_STATS.snapshot()
+    campaign, counters = _memo_leg(True, lambda: ensemble_campaign(
+        dataset, seed=CHECK_SEED, executor="serial",
+        arms=("gpt-4", "cascade")).run())
     requests, executed = counters["requests"], counters["runs"]
     scored = sum(len(arm.reports) for arm in campaign.arms)
     checks = {
-        "batch_verify_outcomes_identical": outcomes["on"] == outcomes["off"],
-        "batched_verification_reduces_detector_runs":
+        "verdict_memo_outcomes_identical": outcomes["on"] == outcomes["off"],
+        "verdict_memo_reduces_detector_runs":
             runs["on"] < runs["off"] and executed < requests,
     }
     summary = {
         "categories": sorted(cat.value for cat in VERIFY_CATEGORIES),
         "cases": len(cases),
-        "rustbrain_detector_runs_unbatched": runs["off"],
-        "rustbrain_detector_runs_batched": runs["on"],
+        "seeds": list(VERIFY_SEEDS),
+        "rustbrain_detector_runs_memo_off": runs["off"],
+        "rustbrain_detector_runs_memo_on": runs["on"],
         "campaign_cases": scored,
         "campaign_verification_requests": requests,
         "campaign_detector_runs": executed,
@@ -238,49 +241,38 @@ def _verification_checks() -> tuple[dict, dict]:
     return checks, summary
 
 
-def _fingerprint_checks() -> tuple[dict, dict]:
-    """Fingerprint dedup: byte-identical outcomes, fewer runs per case.
+def _ensemble_memo_checks() -> tuple[dict, dict]:
+    """Ensemble members sharing the verdict memo: byte-identical
+    outcomes, fewer runs per case.
 
-    Runs one multi-arm multi-member campaign twice — once with the
-    normalized-fingerprint layer on (the default: verifier dedup plus the
-    process-wide case memo) and once with it off (``fingerprint=off``
-    members, case memo disabled: the PR-4 engine code paths) — from
-    identical cold memo states.  Repair outcomes must match byte for
-    byte (member spec strings aside, which legitimately spell the
-    override).  One layer cannot be switched: the exec-metric trace memo
-    keys by fingerprint in both legs, so the off leg's run count is a
-    lower bound on true PR-4 — the gated reduction is conservative.
+    Runs one multi-arm multi-member campaign twice — with the verdict
+    memo disabled and enabled — from identical cold memo states.  Repair
+    outcomes must match byte for byte.  One layer cannot be switched: the
+    exec-metric trace memo keys by fingerprint in both legs, so the off
+    leg's run count is a lower bound on the memo-free count — the gated
+    reduction is conservative.
     """
-    from repro.core.evaluate import clear_trace_memo
-    dataset = load_dataset().subset(FINGERPRINT_CATEGORIES)
+    dataset = load_dataset().subset(ENSEMBLE_MEMO_CATEGORIES)
     runs: dict[str, int] = {}
     stats: dict[str, dict] = {}
     payloads: dict[str, list] = {}
     for mode in ("off", "on"):
-        clear_trace_memo()
-        CASE_MEMO.clear()
-        DETECTOR_STATS.reset()
-        CASE_MEMO.enabled = mode == "on"
-        try:
-            result = ensemble_campaign(dataset, seed=CHECK_SEED,
-                                       executor="serial",
-                                       arms=FINGERPRINT_ARMS[mode]).run()
-        finally:
-            CASE_MEMO.enabled = True
-        stats[mode] = DETECTOR_STATS.snapshot()
+        result, stats[mode] = _memo_leg(mode == "on", lambda: (
+            ensemble_campaign(dataset, seed=CHECK_SEED, executor="serial",
+                              arms=ENSEMBLE_MEMO_ARMS).run()))
         runs[mode] = stats[mode]["runs"]
-        payloads[mode] = [
-            _strip_member_specs(report.to_dict())
-            for arm in result.arms for report in arm.reports]
-    # The campaign savings above can come entirely from exact-text memo
-    # hits; the *normalized* layer needs its own exercise, or a silent
-    # fingerprint regression (e.g. falling back to raw hashing) would
-    # keep every gate green.  Batch each case source next to a
-    # formatting-divergent spelling (a trailing comment guarantees the
-    # texts differ while the AST cannot): every pair must interpret once,
-    # through fingerprint hits specifically, with identical verdicts.
+        payloads[mode] = [report.to_dict()
+                          for arm in result.arms for report in arm.reports]
+    # The campaign savings above come entirely from exact-text memo
+    # hits; detect_ub_batch's *normalized* dedup needs its own exercise,
+    # or a silent fingerprint regression (e.g. falling back to raw
+    # hashing) would keep every gate green.  Batch each case source next
+    # to a formatting-divergent spelling (a trailing comment guarantees
+    # the texts differ while the AST cannot), from a cold memo: every
+    # pair must interpret once, through fingerprint hits specifically,
+    # with identical verdicts.
     from repro.miri import detect_ub_batch
-    DETECTOR_STATS.reset()
+    _cold_memos()
     pairs = [(case.source, case.source + "\n// fingerprint probe\n")
              for case in dataset]
     reports = detect_ub_batch([source for pair in pairs for source in pair])
@@ -296,22 +288,22 @@ def _fingerprint_checks() -> tuple[dict, dict]:
         probe["fingerprint_hits"] >= len(pairs)
         and probe["runs"] + probe["fingerprint_hits"] == 2 * len(pairs))
 
-    cases = len(dataset) * len(FINGERPRINT_ARMS["on"])
+    cases = len(dataset) * len(ENSEMBLE_MEMO_ARMS)
     checks = {
-        "fingerprint_outcomes_byte_identical":
+        "ensemble_memo_outcomes_byte_identical":
             json.dumps(payloads["on"], sort_keys=True)
             == json.dumps(payloads["off"], sort_keys=True),
-        "fingerprint_reduces_detector_runs": runs["on"] < runs["off"],
+        "ensemble_memo_reduces_detector_runs": runs["on"] < runs["off"],
         "normalized_duplicates_interpret_once":
             normalized_once and normalized_identical,
     }
     summary = {
-        "categories": sorted(cat.value for cat in FINGERPRINT_CATEGORIES),
+        "categories": sorted(cat.value for cat in ENSEMBLE_MEMO_CATEGORIES),
         "cases": len(dataset),
-        "arms": list(FINGERPRINT_ARMS["on"]),
+        "arms": list(ENSEMBLE_MEMO_ARMS),
         "detector_stats": stats,
-        "runs_per_case_fingerprint_off": round(runs["off"] / cases, 3),
-        "runs_per_case_fingerprint_on": round(runs["on"] / cases, 3),
+        "runs_per_case_memo_off": round(runs["off"] / cases, 3),
+        "runs_per_case_memo_on": round(runs["on"] / cases, 3),
         "normalized_probe_pairs": len(pairs),
         "normalized_probe_fingerprint_hits": probe["fingerprint_hits"],
     }
@@ -341,14 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     verify_secs = time.perf_counter() - start
 
     start = time.perf_counter()
-    fingerprint_checks, fingerprint_summary = _fingerprint_checks()
-    fingerprint_secs = time.perf_counter() - start
+    memo_checks, memo_summary = _ensemble_memo_checks()
+    memo_secs = time.perf_counter() - start
 
-    checks = {**identity_checks, **verify_checks, **fingerprint_checks}
+    checks = {**identity_checks, **verify_checks, **memo_checks}
     wall_seconds = {
         "identity": round(identity_secs, 4),
         "verification": round(verify_secs, 4),
-        "fingerprint": round(fingerprint_secs, 4),
+        "ensemble_memo": round(memo_secs, 4),
     }
     payload = {
         "schema": SCHEMA,
@@ -360,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "identity": identity_summary,
         "verification": verify_summary,
-        "fingerprint": fingerprint_summary,
+        "ensemble_memo": memo_summary,
     }
 
     data = None
@@ -408,11 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  verification: {verify_summary['runs_per_case']} detector "
           f"runs/case for {verify_summary['requests_per_case']} "
           f"requests/case")
-    print(f"  fingerprint: "
-          f"{fingerprint_summary['runs_per_case_fingerprint_on']} detector "
-          f"runs/case vs "
-          f"{fingerprint_summary['runs_per_case_fingerprint_off']} without "
-          f"the dedup layer")
+    print(f"  ensemble memo: {memo_summary['runs_per_case_memo_on']} "
+          f"detector runs/case vs {memo_summary['runs_per_case_memo_off']} "
+          f"without the verdict memo")
     print(f"  checks: {checks}")
     if not all(checks.values()):
         print("ensemble smoke FAILED gates", file=sys.stderr)

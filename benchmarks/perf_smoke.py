@@ -123,20 +123,26 @@ def _vm_vs_tree_stage(dataset) -> dict:
             run_program(program, engine="vm", compiled=unit)
     vm_seconds = (time.perf_counter() - start) / EXEC_SWEEPS
 
-    # The production hot path: detect_ub over already-seen source text.
+    # detect_ub over already-seen source text, interpreting every time.
     # The VM's compile memo skips the parse and the per-run AST clone the
     # tree engine pays on every detect, which is where its edge lives.
-    from repro.miri import detect_ub
+    # The verdict memo is switched off: it would answer every repeat
+    # without running either engine.
+    from repro.miri import CASE_MEMO, detect_ub
     detect_seconds = {}
-    for engine in ("tree", "vm"):
-        for source in sources:
-            detect_ub(source, engine=engine)
-        start = time.perf_counter()
-        for _ in range(EXEC_SWEEPS):
+    CASE_MEMO.enabled = False
+    try:
+        for engine in ("tree", "vm"):
             for source in sources:
                 detect_ub(source, engine=engine)
-        detect_seconds[engine] = \
-            (time.perf_counter() - start) / EXEC_SWEEPS
+            start = time.perf_counter()
+            for _ in range(EXEC_SWEEPS):
+                for source in sources:
+                    detect_ub(source, engine=engine)
+            detect_seconds[engine] = \
+                (time.perf_counter() - start) / EXEC_SWEEPS
+    finally:
+        CASE_MEMO.enabled = True
 
     divergences = []
     for index, source in enumerate(sources):

@@ -44,8 +44,8 @@ class FixAgent:
         self.name = name
         self.client = client
         self.detector_seconds = detector_seconds
-        #: Shared per-repair verification memo (batched detector); ``None``
-        #: falls back to one :func:`detect_ub` call per verification.
+        #: Shared per-repair verifier view; ``None`` asks :func:`detect_ub`
+        #: per verification.  Both read the process-wide verdict memo.
         self.verifier = verifier
         self.steps_executed = 0
         self.hallucinations = 0

@@ -65,7 +65,13 @@ def node_keys(program: ast.Program) -> frozenset[str]:
     the others written ``_``; ``method:<name>``; ``unary:<op>``;
     ``binop:<op>``, plus ``binop:<op>:expr`` when the right operand is not
     an integer literal; ``cast:<TyClass>``; ``path:<last segment>`` for
-    qualified paths; ``unsafe_block`` and ``static_mut``.
+    qualified paths; ``unsafe_block`` and ``static_mut``.  Let bindings
+    add ``let:borrow`` (initialized with ``&``/``&mut``), ``let:raw_ptr``
+    (a raw-pointer cast, or a possibly ``unsafe``-wrapped
+    ``as_ptr``/``as_mut_ptr``), ``let:constant`` (not an ``aux_``/``__``
+    helper, and its initializer holds an integer literal other than 0
+    or 1), and ``call:via_let`` marks a call through a single-segment
+    name that some ``let`` binds to a path.
     """
     return program.fact("node_keys", _index_nodes)
 
@@ -73,11 +79,20 @@ def node_keys(program: ast.Program) -> frozenset[str]:
 def _index_nodes(program: ast.Program) -> frozenset[str]:
     keys: set[str] = set()
     add = keys.add
+    local_calls: set[str] = set()
+    path_lets: set[str] = set()
     for node in walk(program):
         add(type(node).__name__)
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.PathExpr):
                 keys.update(_call_keys(node.func))
+                if node.func.is_local:
+                    local_calls.add(node.func.name)
+        elif isinstance(node, ast.LetStmt):
+            if node.init is not None:
+                keys.update(_let_keys(node))
+                if _binds_fn_path(node):
+                    path_lets.add(node.name)
         elif isinstance(node, ast.MethodCall):
             add("method:" + node.method)
         elif isinstance(node, ast.Unary):
@@ -97,7 +112,20 @@ def _index_nodes(program: ast.Program) -> frozenset[str]:
         elif isinstance(node, ast.StaticItem):
             if node.mutable:
                 add("static_mut")
+    if not local_calls.isdisjoint(path_lets):
+        add("call:via_let")
     return frozenset(keys)
+
+
+def _let_keys(let: ast.LetStmt) -> list[str]:
+    keys = []
+    if _is_borrow(let.init):
+        keys.append("let:borrow")
+    if _is_raw_ptr(let.init):
+        keys.append("let:raw_ptr")
+    if _output_constants(let):
+        keys.append("let:constant")
+    return keys
 
 
 def _call_keys(func: ast.PathExpr) -> list[str]:
@@ -214,6 +242,39 @@ def _unwrap_unsafe(expr: ast.Expr) -> ast.Expr:
             and expr.tail is not None:
         return expr.tail
     return expr
+
+
+# Let-initializer predicates shared by the rules below and node_keys, so a
+# rule's ``needs`` key and its match can never disagree.
+
+def _is_borrow(init: ast.Expr) -> bool:
+    """`&e` / `&mut e`."""
+    return isinstance(init, ast.Unary) and init.op in ("&", "&mut")
+
+
+def _is_raw_ptr(init: ast.Expr) -> bool:
+    """A raw-pointer cast, or a possibly `unsafe`-wrapped
+    `as_ptr()`/`as_mut_ptr()` call."""
+    if isinstance(init, ast.Cast) and isinstance(init.ty, ty.TyRawPtr):
+        return True
+    init = _unwrap_unsafe(init)
+    return isinstance(init, ast.MethodCall) and \
+        init.method in ("as_ptr", "as_mut_ptr")
+
+
+def _binds_fn_path(let: ast.LetStmt | None) -> bool:
+    """`let f = some_fn;` — a binding a local call can go through."""
+    return let is not None and isinstance(let.init, ast.PathExpr)
+
+
+def _output_constants(let: ast.LetStmt) -> list[ast.IntLit]:
+    """Integer literals other than 0/1 in the initializer of a binding
+    that is not an `aux_`/`__` helper: constants that flow into
+    observable behaviour."""
+    if let.init is None or let.name.startswith(("aux_", "__")):
+        return []
+    return [sub for sub in walk(let.init)
+            if isinstance(sub, ast.IntLit) and sub.value not in (0, 1)]
 
 
 def _stmt_uses_name(stmt: ast.Stmt, name: str) -> bool:
@@ -1173,7 +1234,7 @@ def hoist_write_before_shared(program):
 
 @rewrite("hoist_raw_use_before_reborrow", FixKind.MODIFY,
          "use the raw pointer before the new borrow invalidates it",
-         needs="cast:TyRawPtr|method:as_ptr|method:as_mut_ptr")
+         needs="let:raw_ptr let:borrow|Assign|CompoundAssign")
 def hoist_raw_use_before_reborrow(program):
     main = program.fn("main")
     if main is None:
@@ -1182,23 +1243,16 @@ def hoist_raw_use_before_reborrow(program):
     raw_var = None
     raw_index = None
     for index, stmt in enumerate(block.stmts):
-        if isinstance(stmt, ast.LetStmt) and stmt.init is not None:
-            init = stmt.init
-            if isinstance(init, ast.Cast) and isinstance(init.ty, ty.TyRawPtr):
-                raw_var, raw_index = stmt.name, index
-                break
-            init = _unwrap_unsafe(init)
-            if isinstance(init, ast.MethodCall) and \
-                    init.method in ("as_ptr", "as_mut_ptr"):
-                raw_var, raw_index = stmt.name, index
-                break
+        if isinstance(stmt, ast.LetStmt) and stmt.init is not None \
+                and _is_raw_ptr(stmt.init):
+            raw_var, raw_index = stmt.name, index
+            break
     if raw_var is None:
         return None
     invalidate_index = None
     for index in range(raw_index + 1, len(block.stmts)):
         stmt = block.stmts[index]
-        if isinstance(stmt, ast.LetStmt) and isinstance(stmt.init, ast.Unary) \
-                and stmt.init.op in ("&mut", "&"):
+        if isinstance(stmt, ast.LetStmt) and _is_borrow(stmt.init):
             invalidate_index = index
             break
         if isinstance(stmt, ast.ExprStmt) and isinstance(
@@ -1245,7 +1299,7 @@ def release_lock_before_relock(program):
 
 @rewrite("fix_call_arity", FixKind.MODIFY,
          "pad/trim a fn-pointer call to the target's real arity",
-         needs="Call LetStmt")
+         needs="call:via_let")
 def fix_call_arity(program):
     for node in walk(program):
         if not (isinstance(node, ast.Call)
@@ -1253,7 +1307,7 @@ def fix_call_arity(program):
                 and node.func.is_local):
             continue
         let = _let_defining(program, node.func.name)
-        if let is None or not isinstance(let.init, ast.PathExpr):
+        if not _binds_fn_path(let):
             continue
         target = program.fn(let.init.name)
         if target is None:
@@ -1353,20 +1407,15 @@ def hallu_perturb_constant(program):
 
 @rewrite("retouch_output_constant", FixKind.HALLUCINATION,
          "needless rewrite of a load-bearing constant near the fix",
-         needs="LetStmt IntLit")
+         needs="let:constant")
 def retouch_output_constant(program):
     """Perturb a literal that actually flows into observable behaviour
     (skips incidental helper statements): models regenerating a whole
     function routinely change such constants."""
     candidates: list[ast.IntLit] = []
     for node in walk(program):
-        if not isinstance(node, ast.LetStmt) or node.init is None:
-            continue
-        if node.name.startswith(("aux_", "__")):
-            continue
-        for sub in walk(node.init):
-            if isinstance(sub, ast.IntLit) and sub.value not in (0, 1):
-                candidates.append(sub)
+        if isinstance(node, ast.LetStmt):
+            candidates.extend(_output_constants(node))
     if not candidates:
         return None
     victim = candidates[0]

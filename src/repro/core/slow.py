@@ -40,11 +40,11 @@ class SlowThinking:
         self.client = client
         self.rollback_policy = rollback_policy
         self.max_steps = max_steps_per_solution
-        #: One batched-verification memo shared by all three agents, so the
-        #: dedup spans every solution and round of the repair this instance
-        #: serves — and, when the verifier fingerprints, formatting- or
-        #: identifier-divergent spellings of one candidate program too;
-        #: ``None`` keeps the one-detector-run-per-step path.
+        #: One per-repair verifier view shared by all three agents, so a
+        #: candidate repeated across the repair's solutions and rounds
+        #: gets the report it got before; ``None`` asks
+        #: :func:`repro.miri.detect_ub` per step.  Both read the
+        #: process-wide verdict memo.
         self.verifier = verifier
         self.agents = {
             name: FixAgent(name, client, detector_seconds, verifier)

@@ -16,29 +16,35 @@ False
 >>> report.errors[0].kind.value
 'dangling_pointer'
 
-:func:`detect_ub_batch` verifies many candidate sources in one call:
-parsing rides the :func:`~repro.lang.parser.parse_program` memo,
-textually identical sources are interpreted **once**, and (with
-``fingerprint=True``, the default) so are sources that normalize to the
+Every detector question about source *text* reads through one
+process-wide verdict memo, :data:`CASE_MEMO`, keyed on the exact text,
+the detector options and the resolved engine: the detector is a pure
+function of those, so a question is interpreted once per process and
+every later ask gets a private copy of the answer.  Campaigns ask the
+same questions constantly — each (arm, seed) pass re-verifies the same
+rewrites of the same cases, ensemble members detect the same case
+source, candidate solutions converge on identical programs — so the
+memo is where repeated verification stops costing interpreter runs.
+:func:`detect_ub`, :func:`detect_ub_batch`, :func:`detect_case` and
+:class:`BatchVerifier` are views over that one table; parsed
+``ast.Program`` inputs and ``debug`` runs bypass it.
+
+:func:`detect_ub_batch` adds, for callers that ask for it
+(``fingerprint=True``), in-batch dedup of sources that normalize to the
 same :func:`~repro.miri.fingerprint.source_fingerprint` — formatting- or
-identifier-divergent spellings of one program.  Candidate repair
-solutions converge on identical programs constantly (shared leading
-rules, rollback revisits, members proposing the same fix), so batching
-the verification step cuts real interpreter executions without changing
-a single verdict.  :class:`BatchVerifier` extends that dedup across
-successive calls within one repair, which is how RustBrain's S2 stage
-and the exec-metric scorer amortize their detector runs, and
-:func:`detect_case` shares *case-level* detection (F1, ensemble routing)
-process-wide, so N ensemble members consulting the same case source pay
-for one interpretation between them.
+identifier-divergent spellings of one program.  Fingerprints never key
+the verdict memo: a memo answer always spells the caller's own
+identifiers and spans.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
+from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_program
 from .errors import MiriError, MiriReport, UbKind, PAPER_CATEGORIES
 from .fingerprint import FINGERPRINT_VERSION, source_fingerprint
@@ -57,14 +63,12 @@ class DetectorStats:
     """Process-wide detector accounting (see :data:`DETECTOR_STATS`).
 
     ``requests`` counts verification *questions* (one per source handed to
-    :func:`detect_ub`, :func:`detect_ub_batch`, or :func:`detect_case`);
-    ``runs`` counts actual interpreter executions.  Batching makes
-    ``runs < requests``; the gap is the amortization
-    ``BENCH_ensemble.json`` gates on.  ``fingerprint_hits`` counts the
-    requests answered through normalized-fingerprint dedup specifically
-    (a strict subset of the gap — exact-text dedup and the memos account
-    for the rest), and ``case_memo_hits`` the requests answered by the
-    process-wide :data:`CASE_MEMO`.
+    :func:`detect_ub`, :func:`detect_ub_batch`, :func:`detect_case`, or a
+    :class:`BatchVerifier`); ``runs`` counts actual interpreter
+    executions, so verdict-memo answers make ``runs < requests``.
+    ``case_memo_hits`` counts the :func:`detect_case` questions the memo
+    answered, and ``fingerprint_hits`` the :func:`detect_ub_batch`
+    questions answered by its opt-in normalized-fingerprint dedup.
 
     The engine split (PR 10) adds ``compiles`` — bytecode compilations
     actually performed (the :func:`repro.miri.bytecode.compile_source`
@@ -126,20 +130,89 @@ class DetectorStats:
 #: The process-wide counter instance every detector call updates.
 DETECTOR_STATS = DetectorStats()
 
+#: Capacity of :data:`CASE_MEMO`: about twice the most distinct questions
+#: one benchmark round was measured to ask (seed 0: a Fig. 8 sweep of
+#: 7 arms x 3 seeds x 117 cases 1,639, a cold detection pass 1,894, the
+#: open-loop service round 1,119), so a whole sweep stays resident.
+_VERDICT_MEMO_LIMIT = 4096
 
-def _detect(source: str | ast.Program, collect: bool, max_errors: int,
-            fuel: int, debug: bool = False,
-            engine: str | None = None) -> MiriReport:
-    """One detector execution (parse/compile if needed, then interpret).
 
-    Under the default ``vm`` engine, string sources compile through the
+class CaseMemo:
+    """The process-wide verdict memo every text detector question reads.
+
+    Keys are ``(exact text, collect, max_errors, fuel, resolved engine)``:
+    exact text, so an answer's spans and messages always match the
+    caller's source byte for byte (consumers such as AST pruning and
+    feature extraction anchor on error locations), and the engine, so
+    the VM/tree differential gate always compares two real runs.  The
+    memo keeps a private :meth:`~repro.miri.errors.MiriReport.copy` of
+    each answer and hands out copies, so no caller's mutation reaches
+    another caller.  Lock-guarded (the repair service verifies on worker
+    threads) and bounded at ``limit`` entries, evicting the least
+    recently used.
+    """
+
+    def __init__(self, limit: int = _VERDICT_MEMO_LIMIT):
+        self.limit = limit
+        #: Master switch — benchmarks flip it off to reproduce the
+        #: memo-free execution profile for A/B run counts.
+        self.enabled = True
+        self._entries: OrderedDict[tuple, MiriReport] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def snapshot(self) -> dict:
+        """Lock-guarded view of the memo's state (the ``/stats`` payload):
+        current entry count, capacity, and the master switch."""
+        with self._lock:
+            return {"entries": len(self._entries), "limit": self.limit,
+                    "enabled": self.enabled}
+
+    def lookup(self, key: tuple) -> MiriReport | None:
+        """A private copy of the stored answer, or ``None``."""
+        with self._lock:
+            report = self._entries.get(key)
+            if report is None:
+                return None
+            self._entries.move_to_end(key)
+        return report.copy()
+
+    def store(self, key: tuple, report: MiriReport) -> None:
+        """Remember a copy of ``report``; the caller keeps the original."""
+        entry = report.copy()
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: The process-wide verdict memo (see :class:`CaseMemo`).
+CASE_MEMO = CaseMemo()
+
+
+def _execute(source: str | ast.Program, collect: bool, max_errors: int,
+             fuel: int, debug: bool,
+             engine: str) -> tuple[MiriReport, bool]:
+    """One real detector execution (parse/compile if needed, then
+    interpret), bypassing :data:`CASE_MEMO`, and whether its answer is a
+    property of the question alone (``False`` only for the catch-all
+    front-door failure below) and so may be memoized.
+
+    Under the ``vm`` engine, string sources compile through the
     :func:`repro.miri.bytecode.compile_source` memo — a hit skips the
     parse *and* the per-run AST clone, which is where the VM's cold-start
     speedup comes from.  A compiler failure (a bug in the lowering, never
     a property of the program) falls back to the tree-walker so the
     detector's answer is always the reference answer.
     """
-    engine = resolve_engine(engine)
     compiled = None
     if isinstance(source, str):
         try:
@@ -157,18 +230,40 @@ def _detect(source: str | ast.Program, collect: bool, max_errors: int,
             report = MiriReport()
             report.errors.append(MiriError(
                 UbKind.COMPILE, f"parse error: {err}", err.span))
-            return report
+            return report, True
         except Exception as err:  # lexer errors and friends
             report = MiriReport()
             report.errors.append(MiriError(
                 UbKind.COMPILE, f"lex error: {err}"))
-            return report
+            # Anything but a LexError (a RecursionError on a deeply
+            # nested source, say) can depend on the caller's stack depth.
+            return report, isinstance(err, LexError)
     else:
         program = source
     DETECTOR_STATS.record(runs=1, vm_runs=1 if engine == "vm" else 0)
     return run_program(program, collect=collect, max_errors=max_errors,
                        fuel=fuel, debug=debug, engine=engine,
-                       compiled=compiled)
+                       compiled=compiled), True
+
+
+def _detect(source: str | ast.Program, collect: bool, max_errors: int,
+            fuel: int, debug: bool = False,
+            engine: str | None = None) -> tuple[MiriReport, bool]:
+    """The detector's answer to one question, and whether
+    :data:`CASE_MEMO` supplied it (``False`` means it ran)."""
+    engine = resolve_engine(engine)
+    if debug or not isinstance(source, str) or not CASE_MEMO.enabled:
+        return _execute(source, collect, max_errors, fuel, debug,
+                        engine)[0], False
+    key = (source, collect, max_errors, fuel, engine)
+    report = CASE_MEMO.lookup(key)
+    if report is not None:
+        return report, True
+    report, memoizable = _execute(source, collect, max_errors, fuel, False,
+                                  engine)
+    if memoizable:
+        CASE_MEMO.store(key, report)
+    return report, False
 
 
 def detect_ub(source: str | ast.Program, *, collect: bool = False,
@@ -186,9 +281,12 @@ def detect_ub(source: str | ast.Program, *, collect: bool = False,
     ``engine="tree"`` forces the tree-walking reference interpreter.
     Reports are byte-identical either way — the switch exists for
     divergence triage, never for correctness.
+
+    Text sources read through :data:`CASE_MEMO`; the caller owns the
+    returned report either way.
     """
     DETECTOR_STATS.record(requests=1)
-    return _detect(source, collect, max_errors, fuel, debug, engine)
+    return _detect(source, collect, max_errors, fuel, debug, engine)[0]
 
 
 def detect_ub_batch(sources, *, collect: bool = False, max_errors: int = 8,
@@ -198,225 +296,106 @@ def detect_ub_batch(sources, *, collect: bool = False, max_errors: int = 8,
     """Run the detector over many candidate sources in one call.
 
     Returns one :class:`~repro.miri.errors.MiriReport` per source, in
-    input order.  String sources deduplicate at two levels: textually
-    identical inputs always share one interpretation, and with
-    ``fingerprint=True`` (the default) so do inputs whose
-    :func:`~repro.miri.fingerprint.source_fingerprint` matches —
-    formatting- or identifier-divergent spellings of one program
-    (``DETECTOR_STATS.fingerprint_hits`` counts those specifically).
-
-    **Aliasing:** each *duplicate* position receives a defensive
-    :meth:`~repro.miri.errors.MiriReport.copy` of the first occurrence's
-    report, so mutating one returned report never corrupts another —
-    only the frozen error entries are shared.  Verdicts, error counts,
-    and stdout of a fingerprint-deduplicated report are byte-identical
-    to a fresh run; its error *messages* and spans may spell the first
-    variant's identifiers and positions (the normalization erases
-    exactly that).  Parsed ``ast.Program`` inputs are never
-    deduplicated (node identity is part of their meaning).
+    input order; every position owns its report.  Each text source reads
+    through :data:`CASE_MEMO` like :func:`detect_ub`.  With
+    ``fingerprint=True`` (the default) sources whose
+    :func:`~repro.miri.fingerprint.source_fingerprint` matches an earlier
+    source *in the same batch* — formatting- or identifier-divergent
+    spellings of one program, textual duplicates included — are answered
+    with a copy of that earlier report instead
+    (``DETECTOR_STATS.fingerprint_hits`` counts those).  Verdicts, error
+    counts, and stdout of such a report are byte-identical to a fresh
+    run; its error *messages* and spans may spell the first variant's
+    identifiers and positions (the normalization erases exactly that),
+    which is why these answers never enter the verdict memo.  Parsed
+    ``ast.Program`` inputs are never deduplicated (node identity is part
+    of their meaning).
     """
-    memo: dict[str, MiriReport] = {}
-    fp_memo: dict[str, MiriReport] = {}
+    by_fingerprint: dict[str, MiriReport] = {}
     reports: list[MiriReport] = []
     for source in sources:
         DETECTOR_STATS.record(requests=1)
-        if not isinstance(source, str):
-            reports.append(_detect(source, collect, max_errors, fuel, debug,
-                                   engine))
-            continue
-        report = memo.get(source)
-        if report is not None:
-            reports.append(report.copy())
-            continue
-        fp = source_fingerprint(source) if fingerprint else None
-        if fp is not None and fp in fp_memo:
+        fp = source_fingerprint(source) \
+            if fingerprint and isinstance(source, str) else None
+        if fp is not None and fp in by_fingerprint:
             DETECTOR_STATS.record(fingerprint_hits=1)
-            report = fp_memo[fp]
-            memo[source] = report
-            reports.append(report.copy())
+            reports.append(by_fingerprint[fp].copy())
             continue
-        report = _detect(source, collect, max_errors, fuel, debug, engine)
-        memo[source] = report
+        report = _detect(source, collect, max_errors, fuel, debug,
+                         engine)[0]
         if fp is not None:
-            fp_memo[fp] = report
+            by_fingerprint[fp] = report
         reports.append(report)
     return reports
-
-
-class CaseMemo:
-    """Process-wide memo for *case-level* detection (see :func:`detect_case`).
-
-    Keys are the exact source text plus the detector options, so a hit
-    replays a report whose spans and messages match the caller's source
-    byte for byte — safe even for consumers (AST pruning, feature
-    extraction) that anchor on error locations.  Bounded, thread-safe,
-    and cleared wholesale by benchmarks that publish run counts.
-    """
-
-    def __init__(self, limit: int = 2048):
-        self.limit = limit
-        #: Master switch — benchmarks flip it off to reproduce the
-        #: memo-free (PR-4) execution profile for A/B run counts.
-        self.enabled = True
-        self._entries: dict[tuple, MiriReport] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def snapshot(self) -> dict:
-        """Lock-guarded view of the memo's state (the ``/stats`` payload):
-        current entry count, capacity, and the master switch."""
-        with self._lock:
-            return {"entries": len(self._entries), "limit": self.limit,
-                    "enabled": self.enabled}
-
-    def lookup(self, key: tuple) -> MiriReport | None:
-        with self._lock:
-            return self._entries.get(key)
-
-    def store(self, key: tuple, report: MiriReport) -> None:
-        with self._lock:
-            if len(self._entries) < self.limit:
-                self._entries[key] = report
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: The process-wide case-detection memo :func:`detect_case` consults.
-CASE_MEMO = CaseMemo()
 
 
 def detect_case(source: str, *, collect: bool = False, max_errors: int = 8,
                 fuel: int = DEFAULT_FUEL,
                 engine: str | None = None) -> MiriReport:
-    """Detection for *case-level* queries, memoized process-wide.
+    """Detection for *case-level* queries, counted as such.
 
     Engines run F1 detection — and ``switch`` ensembles their routing
     probe — on the raw case source; under an ensemble, N members ask the
     identical question about the identical text, and campaigns repeat it
-    per (arm, seed).  This entry point answers repeats from
-    :data:`CASE_MEMO` (exact-text keys, so spans and messages always
-    match the caller's source) and returns a defensive copy, so every
-    caller owns its report.  Byte-identical to :func:`detect_ub` by
-    construction; only wall-clock interpreter runs drop
-    (``DETECTOR_STATS.case_memo_hits`` counts the savings).
+    per (arm, seed).  Like every text question this reads through
+    :data:`CASE_MEMO` and returns a report the caller owns;
+    byte-identical to :func:`detect_ub` by construction.  What sets it
+    apart is the accounting: each answer the memo supplies bumps
+    ``DETECTOR_STATS.case_memo_hits``.
     """
     DETECTOR_STATS.record(requests=1)
-    engine = resolve_engine(engine)
-    if not CASE_MEMO.enabled:
-        return _detect(source, collect, max_errors, fuel, False, engine)
-    key = (source, collect, max_errors, fuel, engine)
-    report = CASE_MEMO.lookup(key)
-    if report is None:
-        report = _detect(source, collect, max_errors, fuel, False, engine)
-        CASE_MEMO.store(key, report.copy())
-        return report
-    DETECTOR_STATS.record(case_memo_hits=1)
-    return report.copy()
+    report, hit = _detect(source, collect, max_errors, fuel, False, engine)
+    if hit:
+        DETECTOR_STATS.record(case_memo_hits=1)
+    return report
 
 
 class BatchVerifier:
-    """Read-through verification memo over :func:`detect_ub_batch`.
+    """One repair's view of the verdict memo.
 
-    One verifier spans one repair: S2 re-verifies a candidate program after
-    every executed step, and candidates frequently coincide across the
-    repair's solutions and rounds (solutions sharing leading rules produce
-    identical intermediate programs; later rounds revisit earlier rewrites).
-    The memo answers repeats without re-interpreting — verdicts stay
-    byte-identical (reports are never mutated downstream) and the virtual
-    clock still charges every verification (it models a sequential real
-    run), so only wall-clock work drops.  With ``fingerprint=True`` (the
-    default) the memo additionally matches *normalized* duplicates via
-    :func:`~repro.miri.fingerprint.source_fingerprint` — e.g. a rewrite
-    chain that arrives back at the original program re-verifies for free
-    even though the canonical print spells it differently than the raw
-    input.  ``requests``/``runs`` mirror :class:`DetectorStats` at
-    per-repair scope; ``fingerprint_hits`` counts the normalized matches.
+    S2 re-verifies a candidate program after every executed step, with
+    fixed detector options (``collect``, ``max_errors``, ``fuel``).  Each
+    question reads through :data:`CASE_MEMO`, so rewrites that earlier
+    repairs, rounds or (arm, seed) passes already verified cost no
+    interpreter run; within the repair, a repeated candidate gets the
+    very report it got before, without touching the shared memo.
+    Verdicts stay byte-identical and the virtual clock still charges
+    every verification (it models a sequential real run), so only
+    wall-clock work drops.  ``requests`` counts this repair's questions
+    and ``runs`` the ones that had to interpret.
     """
 
     def __init__(self, *, collect: bool = True, max_errors: int = 8,
-                 fuel: int = DEFAULT_FUEL, fingerprint: bool = True):
+                 fuel: int = DEFAULT_FUEL):
         self.collect = collect
         self.max_errors = max_errors
         self.fuel = fuel
-        self.fingerprint = fingerprint
         self.requests = 0
         self.runs = 0
-        self.fingerprint_hits = 0
-        self._memo: dict[str, MiriReport] = {}
-        self._fp_memo: dict[str, MiriReport] = {}
-
-    def _lookup(self, source: str) -> MiriReport | None:
-        report = self._memo.get(source)
-        if report is not None:
-            return report
-        if self.fingerprint:
-            report = self._fp_memo.get(source_fingerprint(source))
-            if report is not None:
-                DETECTOR_STATS.record(fingerprint_hits=1)
-                self.fingerprint_hits += 1
-                self._memo[source] = report
-                return report
-        return None
-
-    def _store(self, source: str, report: MiriReport) -> None:
-        self._memo[source] = report
-        if self.fingerprint:
-            self._fp_memo.setdefault(source_fingerprint(source), report)
+        self._answered: dict[str, MiriReport] = {}
 
     def seed(self, source: str, report: MiriReport) -> None:
         """Pre-load a report obtained elsewhere (e.g. the F1 detection
-        answered by :func:`detect_case`), so later verifications of the
-        same program — under any spelling, when fingerprinting — replay
-        it without another interpreter run."""
-        self._store(source, report)
-
-    def _batch_size(self, sources: list[str]) -> int:
-        """How many of ``sources`` one batch actually executes: the
-        fingerprint-distinct count when fingerprinting, else all of
-        them.  Computed locally — a global-counter delta would absorb
-        runs from concurrently-consulting ensemble members."""
-        if not self.fingerprint:
-            return len(sources)
-        return len({source_fingerprint(source) for source in sources})
+        answered by :func:`detect_case`), so a later verification of the
+        same text returns it."""
+        self._answered[source] = report
 
     def verify(self, source: str) -> MiriReport:
-        """The (possibly memoized) detector report for one candidate."""
+        """The detector report for one candidate."""
         self.requests += 1
-        report = self._lookup(source)
+        DETECTOR_STATS.record(requests=1)
+        report = self._answered.get(source)
         if report is None:
-            report = detect_ub_batch([source], collect=self.collect,
-                                     max_errors=self.max_errors,
-                                     fuel=self.fuel, fingerprint=False)[0]
-            self._store(source, report)
-            self.runs += 1
-        else:
-            # Memo answers are still verification requests; only ``runs``
-            # shrinks under batching.
-            DETECTOR_STATS.record(requests=1)
+            report, hit = _detect(source, self.collect, self.max_errors,
+                                  self.fuel)
+            if not hit:
+                self.runs += 1
+            self._answered[source] = report
         return report
 
     def verify_batch(self, sources: list[str]) -> list[MiriReport]:
-        """Reports for many candidates; unseen distinct sources run in one
-        :func:`detect_ub_batch` call."""
-        self.requests += len(sources)
-        missing = [source for source in dict.fromkeys(sources)
-                   if self._lookup(source) is None]
-        if missing:
-            for source, report in zip(
-                    missing,
-                    detect_ub_batch(missing, collect=self.collect,
-                                    max_errors=self.max_errors,
-                                    fuel=self.fuel,
-                                    fingerprint=self.fingerprint)):
-                self._store(source, report)
-            self.runs += self._batch_size(missing)
-        DETECTOR_STATS.record(requests=len(sources) - len(missing))
-        return [self._memo[source] for source in sources]
+        """Reports for many candidates, in input order."""
+        return [self.verify(source) for source in sources]
 
 
 def error_count(source: str | ast.Program, **kwargs) -> int:

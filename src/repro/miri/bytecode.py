@@ -33,7 +33,7 @@ on the **text**, not on :func:`~repro.miri.fingerprint.source_fingerprint`:
 fingerprint-equal sources differ in spans and identifier spellings, and
 the detector's reports must quote the caller's exact source — fingerprint
 dedup stays where it already lives, in :func:`~repro.miri.detect_ub_batch`
-and the :class:`~repro.miri.BatchVerifier` above this layer.
+above this layer.
 """
 
 from __future__ import annotations

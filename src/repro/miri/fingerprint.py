@@ -5,9 +5,9 @@ spell it: whitespace, comments, redundant formatting, and a consistent
 renaming of user-chosen identifiers all leave every verdict, error count,
 and observable output unchanged.  :func:`source_fingerprint` computes a
 stable hash of that equivalence class, which is what lets
-:func:`~repro.miri.detect_ub_batch` and the
-:class:`~repro.miri.BatchVerifier` answer formatting-divergent duplicate
-candidates with a single interpreter run.
+:func:`~repro.miri.detect_ub_batch` (``fingerprint=True``) and the
+exec-metric trace memo answer formatting-divergent duplicates with a
+single interpreter run.  The detector's verdict memo never keys on it.
 
 Normalization pipeline (``FINGERPRINT_VERSION`` tags the rules):
 

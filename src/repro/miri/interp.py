@@ -227,10 +227,10 @@ def run_program(program: ast.Program, *, fuel: int = DEFAULT_FUEL,
                 compiled=None) -> MiriReport:
     """Construct-and-run one interpreter over ``program``.
 
-    The single execution point shared by :func:`repro.miri.detect_ub` and
-    :func:`repro.miri.detect_ub_batch` — detector-invocation accounting
-    hangs off calls to this function, so batched verification can prove it
-    executes strictly fewer interpreters than one-call-per-candidate.
+    The single execution point behind every detector entry point in
+    :mod:`repro.miri` — detector-invocation accounting hangs off calls to
+    this function, so the verdict memo can prove it executes strictly
+    fewer interpreters than one-call-per-question.
 
     ``engine`` picks the bytecode VM (``"vm"``, the default) or the
     tree-walking reference (``"tree"``); reports are byte-identical

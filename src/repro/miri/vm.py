@@ -489,12 +489,11 @@ def check_divergence(source: str, label: str = "<source>", *,
     The triage tool behind the ``vm_matches_tree`` benchmark gate and the
     ``repro repair --engine-exec`` escape hatch: when a VM report ever
     disagrees with the tree-walker, this reproduces the pair in-process.
+    Both reports come from fresh runs: the verdict memo is bypassed.
     """
-    from . import _detect
-    tree = _detect(source, collect=collect, max_errors=max_errors,
-                   fuel=fuel, engine="tree")
-    vm = _detect(source, collect=collect, max_errors=max_errors,
-                 fuel=fuel, engine="vm")
+    from . import _execute
+    tree = _execute(source, collect, max_errors, fuel, False, "tree")[0]
+    vm = _execute(source, collect, max_errors, fuel, False, "vm")[0]
     if report_signature(tree) == report_signature(vm):
         return None
     return Divergence(label, tree, vm)

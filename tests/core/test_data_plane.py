@@ -21,7 +21,7 @@ from repro.corpus.generator import generate_sources
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import Parser, _parse_program_cached, parse_program
 from repro.lang.printer import Printer, print_program
-from repro.miri import detect_ub
+from repro.miri import CASE_MEMO, detect_ub
 
 SWEEP_SEED = 3
 CASES_PER_CATEGORY = 3
@@ -102,6 +102,9 @@ def watched(monkeypatch):
     monkeypatch.setattr(Parser, "parse_program", recording_build)
     monkeypatch.setattr(ast.Program, "fact", recording_fact)
     _parse_program_cached.cache_clear()
+    # Verdicts left by earlier tests would answer the workload's detector
+    # questions without interpreting the trees under watch.
+    CASE_MEMO.clear()
     yield parsed, with_facts
     _parse_program_cached.cache_clear()
 
@@ -171,6 +174,40 @@ class TestRuleNeeds:
                     wrong.append(f"{rule.name} rejects but rewrites:\n"
                                  f"{print_program(program)}")
         assert not wrong, wrong[0]
+
+    @pytest.mark.parametrize("rule_name,source", [
+        ("hoist_raw_use_before_reborrow",
+         "fn main() { let mut x = 5; let p = &mut x as *mut i32;"
+         " let r = &x; let v = unsafe { *p }; println!(\"{}\", r); }"),
+        ("hoist_raw_use_before_reborrow",
+         "fn main() { let mut v = vec![1, 2];"
+         " let p = unsafe { v.as_mut_ptr() }; v[0] = 3;"
+         " let first = unsafe { *p }; }"),
+        ("hoist_raw_use_before_reborrow",
+         "fn main() { let mut x = 5; let p = &mut x as *mut i32;"
+         " x += 1; let v = unsafe { *p }; }"),
+        ("retouch_output_constant",
+         "fn main() { let aux_k = 7; let y = (2 + 0) * 3;"
+         " println!(\"{}\", y); }"),
+        ("fix_call_arity",
+         "fn add(a: i64, b: i64) -> i64 { a + b }\n"
+         "fn main() { let f = add; let s = f(1); println!(\"{}\", s); }"),
+    ])
+    def test_let_shaped_needs_admit_every_shape(self, rule_name, source):
+        # Shapes the corpus may not reach: each declared key must still
+        # admit them, and the rule must rewrite them.
+        program = parse_program(source)
+        rule = REGISTRY[rule_name]
+        assert rule.could_match(program)
+        assert rule.apply(program) is not None
+
+    def test_let_shaped_needs_reject_helper_constants(self):
+        program = parse_program(
+            "fn main() { let aux_k = 7; let __t = 9; let y = 1;"
+            " println!(\"{}\", y + 4); }")
+        rule = REGISTRY["retouch_output_constant"]
+        assert not rule.could_match(program)
+        assert rule.fn(ast.clone(program)) is None
 
     def test_rejected_apply_does_not_clone(self, monkeypatch):
         import repro.core.rewrites as rewrites

@@ -594,33 +594,23 @@ class TestCrossMemberMemo:
         assert len(CASE_MEMO) >= 1
 
     def test_outcomes_identical_to_memo_free_run(self, small):
-        # Byte-identity vs the PR-4 execution profile: the same ensemble
-        # with the memo disabled and fingerprinting off produces the
-        # exact same RepairOutcome for every case.
+        # Byte-identity vs the memo-free execution profile: the same
+        # ensemble with the verdict memo disabled produces the exact same
+        # RepairOutcome for every case.
         from repro.miri import CASE_MEMO
         members = "gpt-3.5+rustbrain:gpt-4"
-        off_members = ("gpt-3.5;fingerprint=off"
-                       "+rustbrain;fingerprint=off:gpt-4")
-
-        def strip_member_specs(outcome):
-            # The member spec string legitimately differs (it spells the
-            # fingerprint=off override); everything else must not.
-            payload = dict(vars(outcome))
-            payload["members"] = [
-                {key: value for key, value in member.items()
-                 if key != "member"} for member in outcome.members]
-            return payload
-
         for case in list(small)[:4]:
             on = create_engine(f"cascade?members={members}",
                                seed=SEED).repair(case.source,
                                                  case.difficulty)
             CASE_MEMO.enabled = False
-            off = create_engine(f"cascade?members={off_members}",
-                                seed=SEED).repair(case.source,
-                                                  case.difficulty)
-            CASE_MEMO.enabled = True
-            assert strip_member_specs(on) == strip_member_specs(off)
+            try:
+                off = create_engine(f"cascade?members={members}",
+                                    seed=SEED).repair(case.source,
+                                                      case.difficulty)
+            finally:
+                CASE_MEMO.enabled = True
+            assert vars(on) == vars(off)
 
     def test_switch_routing_rides_the_memo(self, small):
         from repro.miri import DETECTOR_STATS

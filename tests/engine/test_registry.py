@@ -70,6 +70,15 @@ class TestCreate:
             create_engine("rustbrain?warp_drive=on")
         assert "warp_drive" in str(exc.value)
 
+    @pytest.mark.parametrize("spec", [
+        "rustbrain?batch_verify=off",
+        "rustbrain?fingerprint=off",
+        "llm_only?fingerprint=off",
+    ])
+    def test_retired_options_raise(self, spec):
+        with pytest.raises(EngineConfigError):
+            create_engine(spec)
+
     @pytest.mark.parametrize("bad", [
         "rustbrain?kb=none",          # bool field, non-bool word
         "rustbrain?feedback=7",       # bool field, int

@@ -94,6 +94,22 @@ class TestClient:
         with pytest.raises(ContextOverflow):
             client.charge("t", "word " * 1000)
 
+    def test_prompt_tokens_counted_once_per_charge(self, monkeypatch):
+        import repro.llm.client as client_module
+        counted = []
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        monkeypatch.setattr(client_module, "count_tokens", counting)
+        client = LLMClient("gpt-4", seed=1)
+        client.charge("t", "some prompt text")
+        client.generate_batch("t", "another prompt", 3)
+        assert counted == ["some prompt text", "another prompt"]
+        assert [call.prompt_tokens for call in client.stats.calls] == \
+            [count_tokens("some prompt text"), count_tokens("another prompt")]
+
     def test_rng_deterministic_per_call_index(self):
         a = LLMClient("gpt-4", seed=7)
         b = LLMClient("gpt-4", seed=7)

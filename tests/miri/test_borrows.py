@@ -132,6 +132,13 @@ fn main() {
     let v = unsafe { *p };
 }'''
 
+    @pytest.fixture(autouse=True)
+    def _every_call_executes(self):
+        # A verdict-memo copy would make a repeated question trivially
+        # identical; these tests need each call to interpret.
+        from repro.miri import CASE_MEMO
+        CASE_MEMO.enabled = False
+
     def test_report_identical_after_other_runs(self):
         from repro.miri import detect_ub
         first = detect_ub(self.BUGGY).render()

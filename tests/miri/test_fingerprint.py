@@ -218,29 +218,27 @@ class TestBatchFingerprintDedup:
              for r in singles]
 
 
-class TestVerifierFingerprint:
-    def test_normalized_repeat_hits_the_memo(self):
+class TestVerifierExactText:
+    """The verifier reads the exact-text verdict memo: a renamed spelling
+    is a question of its own, answered in its own identifiers."""
+
+    def test_normalized_repeat_is_its_own_question(self):
         verifier = BatchVerifier()
         first = verifier.verify(BUGGY)
         again = verifier.verify(BUGGY_RENAMED)
-        assert again is first
-        assert verifier.runs == 1
-        assert verifier.fingerprint_hits == 1
+        assert again is not first
+        assert verifier.runs == 2
+        assert DETECTOR_STATS.fingerprint_hits == 0
+        assert again.render() == \
+            detect_ub(BUGGY_RENAMED, collect=True).render()
 
-    def test_seed_preloads_the_memo(self):
+    def test_seed_preloads_the_view(self):
         verifier = BatchVerifier()
         report = detect_ub(BUGGY, collect=True)
         verifier.seed(BUGGY, report)
         assert verifier.verify(BUGGY) is report
-        assert verifier.verify(BUGGY_RENAMED) is report
         assert verifier.runs == 0
-
-    def test_fingerprint_off_keeps_textual_memo_only(self):
-        verifier = BatchVerifier(fingerprint=False)
-        verifier.verify(BUGGY)
-        verifier.verify(BUGGY_RENAMED)
-        assert verifier.runs == 2
-        assert verifier.fingerprint_hits == 0
+        assert verifier.verify(BUGGY_RENAMED) is not report
 
 
 class TestCaseMemo:

@@ -65,10 +65,10 @@ class TestReferenceCheckerCatchesDrift:
         assert any("CaseResult: no documented" in error for error in errors)
 
     def test_strict_requires_every_schema_id(self, reference_text):
-        broken = reference_text.replace("repro.bench_ensemble/3",
+        broken = reference_text.replace("repro.bench_ensemble/4",
                                         "repro.bench_ensemble/9")
         errors = check_docs.check_reference(broken, strict=True)
-        assert any("repro.bench_ensemble/3" in error for error in errors)
+        assert any("repro.bench_ensemble/4" in error for error in errors)
 
     def test_main_strict_needs_the_reference(self, capsys):
         assert check_docs.main(["--strict", str(ROOT / "README.md")]) == 1
