@@ -11,11 +11,12 @@ dependency on the knowledge base* (the red cells of Table I).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..miri.errors import UbKind
-from .knowledge import cosine
+from .knowledge import cosine_normed
 
 SIMILARITY_THRESHOLD = 0.88
 
@@ -26,6 +27,11 @@ class FeedbackEntry:
     category: UbKind
     rules: list[str]
     wins: int = 1
+
+    @cached_property
+    def norm(self):
+        """``np.linalg.norm(vector)``, once: the vector is never edited."""
+        return np.linalg.norm(self.vector)
 
 
 @dataclass
@@ -52,10 +58,11 @@ class FeedbackMemory:
         self.stats.lookups += 1
         best: FeedbackEntry | None = None
         best_score = self.threshold
+        norm = np.linalg.norm(vector)
         for entry in self.entries:
             if entry.category is not category:
                 continue
-            score = cosine(vector, entry.vector)
+            score = cosine_normed(vector, norm, entry.vector, entry.norm)
             if score >= best_score:
                 best = entry
                 best_score = score
@@ -67,9 +74,11 @@ class FeedbackMemory:
     def learn(self, vector: np.ndarray, category: UbKind,
               rules: list[str]) -> None:
         """Store (or reinforce) a verified repair plan."""
+        norm = np.linalg.norm(vector)
         for entry in self.entries:
             if entry.category is category and entry.rules == rules \
-                    and cosine(vector, entry.vector) >= self.threshold:
+                    and cosine_normed(vector, norm, entry.vector,
+                                      entry.norm) >= self.threshold:
                 entry.wins += 1
                 return
         self.entries.append(FeedbackEntry(vector, category, list(rules)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,7 +85,17 @@ def _embed(program: ast.Program, dim: int) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    return cosine_normed(a, np.linalg.norm(a), b, np.linalg.norm(b))
+
+
+def cosine_normed(a: np.ndarray, a_norm, b: np.ndarray, b_norm) -> float:
+    """:func:`cosine` given both vectors' ``np.linalg.norm``.
+
+    Bit-identical to :func:`cosine` when the norms are those of ``a`` and
+    ``b``, so a store can compute each stored vector's norm once and a
+    query its own norm once, instead of both on every comparison.
+    """
+    denom = a_norm * b_norm
     if denom == 0:
         return 0.0
     return float(np.dot(a, b) / denom)
@@ -448,6 +458,11 @@ class KbEntry:
     vector: np.ndarray
     snippet: str
 
+    @cached_property
+    def norm(self):
+        """``np.linalg.norm(vector)``, once: the vector is read-only."""
+        return np.linalg.norm(self.vector)
+
 
 @lru_cache(maxsize=8)
 def _default_entries(coverage: float, seed: int,
@@ -496,7 +511,8 @@ class KnowledgeBase:
     def query(self, vector: np.ndarray, k: int = 3,
               min_similarity: float = 0.25) -> list[tuple[KbEntry, float]]:
         self.queries += 1
-        scored = [(entry, cosine(vector, entry.vector))
+        norm = np.linalg.norm(vector)
+        scored = [(entry, cosine_normed(vector, norm, entry.vector, entry.norm))
                   for entry in self.entries]
         scored.sort(key=lambda pair: pair[1], reverse=True)
         return [(entry, score) for entry, score in scored[:k]

@@ -65,7 +65,7 @@ from ..lang import ast_nodes as ast
 from ..lang.lexer import tokenize
 from ..lang.parser import parse_program
 from ..lang.printer import print_program
-from ..lang.tokens import TokenKind as T
+from ..lang.tokens import KIND as T
 from ..miri import detect_ub
 from ..miri.errors import UbKind
 from ..miri.fingerprint import renameable_names

@@ -22,9 +22,9 @@ from .types import Ty
 
 _NODE_COUNTER = itertools.count(1)
 
-
-def _next_id() -> int:
-    return next(_NODE_COUNTER)
+#: The next fresh node id.  The counter's own ``__next__``, not a wrapper
+#: function: every node the parser or :func:`clone` makes calls it.
+_next_id = _NODE_COUNTER.__next__
 
 
 @dataclass
@@ -71,11 +71,6 @@ def _clone_child(item):
     if type(item) is list:
         return [_clone_child(sub) for sub in item]
     return item
-
-
-def _walk_many(nodes):
-    for node in nodes:
-        yield from walk(node)
 
 
 def walk(node: "Node"):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from . import ast_nodes as ast
 from .lexer import tokenize
 from .span import Span
-from .tokens import Token, TokenKind as T
+from .tokens import KIND as T, Token, TokenKind
 from .types import (
     BOOL,
     CHAR,
@@ -60,19 +60,12 @@ _BINOP_PREC = {
 }
 _CAST_PREC = 10
 
+#: Compound assignment operators by token text (only a punctuation token's
+#: text can be an operator, so text keys need no kind check, and a string
+#: hashes without a Python-level ``Enum.__hash__`` call).
 _COMPOUND_OPS = {
-    T.PLUSEQ: "+", T.MINUSEQ: "-", T.STAREQ: "*", T.SLASHEQ: "/",
-    T.PERCENTEQ: "%", T.CARETEQ: "^", T.AMPEQ: "&", T.PIPEEQ: "|",
-    T.SHLEQ: "<<", T.SHREQ: ">>",
-}
-
-_BINOP_TOKENS = {
-    T.PIPEPIPE: "||", T.AMPAMP: "&&",
-    T.EQEQ: "==", T.NE: "!=", T.LT: "<", T.GT: ">", T.LE: "<=", T.GE: ">=",
-    T.PIPE: "|", T.CARET: "^", T.AMP: "&",
-    T.SHL: "<<", T.SHR: ">>",
-    T.PLUS: "+", T.MINUS: "-",
-    T.STAR: "*", T.SLASH: "/", T.PERCENT: "%",
+    "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%", "^=": "^",
+    "&=": "&", "|=": "|", "<<=": "<<", ">>=": ">>",
 }
 
 _MACRO_NAMES = {
@@ -81,9 +74,28 @@ _MACRO_NAMES = {
 }
 
 
+#: Kinds that open a range, end a range, end a ``return`` value, end a
+#: ``break`` value, end a ``use`` path and close a generic argument list.
+#: Tuples, not sets: ``in`` compares identity first and never calls the
+#: Python-level ``Enum.__hash__``.
+_RANGE_OPS = (T.DOTDOT, T.DOTDOTEQ)
+_RANGE_END = (T.RBRACE, T.RPAREN, T.RBRACKET, T.SEMI, T.COMMA, T.LBRACE,
+              T.EOF)
+_RETURN_END = (T.SEMI, T.RBRACE, T.RPAREN, T.COMMA, T.EOF)
+_BREAK_END = (T.SEMI, T.RBRACE, T.EOF)
+_USE_END = (T.SEMI, T.EOF)
+_GENERIC_END = (T.GT, T.SHR, T.GE)
+_EOF = T.EOF
+
+
 class Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        tokens = tokenize(source)
+        # Two EOF sentinels past the real one keep `_peek(2)` in range, and
+        # `_advance` never moves past the first, so the cursor is a plain
+        # index with no bounds check.
+        tokens += tokens[-1:] * 2
+        self.tokens = tokens
         self.pos = 0
         # When > 0, struct literals are not allowed (if/while/for headers).
         self._no_struct_lit = 0
@@ -92,28 +104,35 @@ class Parser:
     # Token helpers
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
-    def _at(self, *kinds: T) -> bool:
-        return self._peek().kind in kinds
+    def _at(self, kind: TokenKind) -> bool:
+        return self.tokens[self.pos].kind is kind
+
+    def _at_any(self, kinds: tuple[TokenKind, ...]) -> bool:
+        return self.tokens[self.pos].kind in kinds
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not T.EOF:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
-    def _expect(self, kind: T, what: str | None = None) -> Token:
-        tok = self._peek()
+    def _expect(self, kind: TokenKind, what: str | None = None) -> Token:
+        tok = self.tokens[self.pos]
         if tok.kind is not kind:
             expected = what or kind.value
             raise ParseError(f"expected {expected!r}, found {tok.text!r}", tok.span)
-        return self._advance()
+        if kind is not _EOF:
+            self.pos += 1
+        return tok
 
-    def _eat(self, kind: T) -> Token | None:
-        if self._at(kind):
-            return self._advance()
+    def _eat(self, kind: TokenKind) -> Token | None:
+        """Consume and return the next token if it is ``kind`` (never EOF)."""
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:
+            self.pos += 1
+            return tok
         return None
 
     def _expect_gt(self) -> None:
@@ -176,7 +195,7 @@ class Parser:
     def _parse_use(self) -> ast.UseItem:
         start = self._expect(T.KW_USE).span
         parts: list[str] = []
-        while not self._at(T.SEMI, T.EOF):
+        while not self._at_any(_USE_END):
             parts.append(self._advance().text)
         self._expect(T.SEMI)
         return ast.UseItem("".join(parts), span=start)
@@ -333,7 +352,7 @@ class Parser:
         if self._eat(T.LT):
             arg_list = [self.parse_type()]
             while self._eat(T.COMMA):
-                if self._at(T.GT, T.SHR, T.GE):
+                if self._at_any(_GENERIC_END):
                     break
                 arg_list.append(self.parse_type())
             self._expect_gt()
@@ -349,22 +368,29 @@ class Parser:
         start = self._expect(T.LBRACE).span
         stmts: list[ast.Stmt] = []
         tail: ast.Expr | None = None
-        while not self._at(T.RBRACE):
-            if self._eat(T.SEMI):
+        tokens = self.tokens
+        while True:
+            kind = tokens[self.pos].kind
+            if kind is T.RBRACE:
+                break
+            if kind is T.SEMI:
+                self.pos += 1
                 continue
-            if self._at(T.KW_LET):
+            if kind is T.KW_LET:
                 stmts.append(self._parse_let())
                 continue
-            if self._at(T.KW_FN) or (
-                self._at(T.KW_UNSAFE) and self._peek(1).kind is T.KW_FN
+            if kind is T.KW_FN or (
+                kind is T.KW_UNSAFE and self._peek(1).kind is T.KW_FN
             ):
                 # Nested function items are rare; hoist them as statements is
                 # not supported — corpus keeps functions at top level.
                 raise ParseError("nested fn items are not supported", self._peek().span)
             expr = self.parse_expr()
-            if self._eat(T.SEMI):
+            kind = tokens[self.pos].kind
+            if kind is T.SEMI:
+                self.pos += 1
                 stmts.append(ast.ExprStmt(expr, has_semi=True, span=expr.span))
-            elif self._at(T.RBRACE):
+            elif kind is T.RBRACE:
                 tail = expr
             elif _is_block_like(expr):
                 stmts.append(ast.ExprStmt(expr, has_semi=False, span=expr.span))
@@ -394,56 +420,57 @@ class Parser:
 
     def _parse_assign(self) -> ast.Expr:
         lhs = self._parse_range()
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is T.EQ:
-            self._advance()
+            self.pos += 1
             value = self._parse_assign()
             return ast.Assign(lhs, value, span=lhs.span)
-        if tok.kind in _COMPOUND_OPS:
-            op = _COMPOUND_OPS[tok.kind]
-            self._advance()
+        op = _COMPOUND_OPS.get(tok.text)
+        if op is not None:
+            self.pos += 1
             value = self._parse_assign()
             return ast.CompoundAssign(op, lhs, value, span=lhs.span)
         return lhs
 
     def _parse_range(self) -> ast.Expr:
-        if self._at(T.DOTDOT, T.DOTDOTEQ):
+        if self.tokens[self.pos].kind in _RANGE_OPS:
             inclusive = self._advance().kind is T.DOTDOTEQ
             hi = None if self._at_range_end() else self._parse_binary(1)
             return ast.RangeExpr(None, hi, inclusive)
         lo = self._parse_binary(1)
-        if self._at(T.DOTDOT, T.DOTDOTEQ):
+        if self.tokens[self.pos].kind in _RANGE_OPS:
             inclusive = self._advance().kind is T.DOTDOTEQ
             hi = None if self._at_range_end() else self._parse_binary(1)
             return ast.RangeExpr(lo, hi, inclusive, span=lo.span)
         return lo
 
     def _at_range_end(self) -> bool:
-        return self._at(T.RBRACE, T.RPAREN, T.RBRACKET, T.SEMI, T.COMMA, T.LBRACE, T.EOF)
+        return self._at_any(_RANGE_END)
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_cast()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            op = _BINOP_TOKENS.get(tok.kind)
-            if op is None or _BINOP_PREC[op] < min_prec:
+            tok = tokens[self.pos]
+            prec = _BINOP_PREC.get(tok.text)  # operators by text, as above
+            if prec is None or prec < min_prec:
                 return lhs
             # `<` can begin a generic-arg list only in paths, which are handled
             # during primary parsing, so here it is always comparison.
-            self._advance()
-            rhs = self._parse_binary(_BINOP_PREC[op] + 1)
-            lhs = ast.Binary(op, lhs, rhs, span=lhs.span)
+            self.pos += 1
+            rhs = self._parse_binary(prec + 1)
+            lhs = ast.Binary(tok.text, lhs, rhs, span=lhs.span)
 
     def _parse_cast(self) -> ast.Expr:
         expr = self._parse_unary()
-        while self._at(T.KW_AS):
-            self._advance()
+        while self.tokens[self.pos].kind is T.KW_AS:
+            self.pos += 1
             ty = self.parse_type()
             expr = ast.Cast(expr, ty, span=expr.span)
         return expr
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is T.MINUS:
             self._advance()
             return ast.Unary("-", self._parse_unary(), span=tok.span)
@@ -467,10 +494,11 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
+            tok = tokens[self.pos]
             if tok.kind is T.LPAREN:
-                self._advance()
+                self.pos += 1
                 args = self._parse_expr_list(T.RPAREN)
                 self._expect(T.RPAREN)
                 expr = ast.Call(expr, args, span=expr.span)
@@ -506,7 +534,7 @@ class Parser:
             else:
                 return expr
 
-    def _parse_expr_list(self, terminator: T) -> list[ast.Expr]:
+    def _parse_expr_list(self, terminator: TokenKind) -> list[ast.Expr]:
         args: list[ast.Expr] = []
         guard = self._no_struct_lit
         self._no_struct_lit = 0  # parenthesised contexts allow struct literals
@@ -523,11 +551,13 @@ class Parser:
     # Primary expressions
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         kind = tok.kind
 
+        if kind is T.IDENT:  # the commonest primary, so tested first
+            return self._parse_path_or_macro()
         if kind is T.INT:
-            self._advance()
+            self.pos += 1
             value, suffix = _parse_int_text(tok.text)
             return ast.IntLit(value, suffix, span=tok.span)
         if kind is T.KW_TRUE:
@@ -574,13 +604,13 @@ class Parser:
         if kind is T.KW_RETURN:
             self._advance()
             value = None
-            if not self._at(T.SEMI, T.RBRACE, T.RPAREN, T.COMMA, T.EOF):
+            if not self._at_any(_RETURN_END):
                 value = self.parse_expr()
             return ast.ReturnExpr(value, span=tok.span)
         if kind is T.KW_BREAK:
             self._advance()
             value = None
-            if not self._at(T.SEMI, T.RBRACE, T.EOF):
+            if not self._at_any(_BREAK_END):
                 value = self.parse_expr()
             return ast.BreakExpr(value, span=tok.span)
         if kind is T.KW_CONTINUE:
@@ -589,10 +619,8 @@ class Parser:
         if kind is T.KW_MOVE:
             self._advance()
             return self._parse_closure(is_move=True, span=tok.span)
-        if kind in (T.PIPE, T.PIPEPIPE):
+        if kind is T.PIPE or kind is T.PIPEPIPE:
             return self._parse_closure(is_move=False, span=tok.span)
-        if kind is T.IDENT:
-            return self._parse_path_or_macro()
         raise ParseError(f"expected expression, found {tok.text!r}", tok.span)
 
     def _parse_no_struct(self, parse):
@@ -679,10 +707,11 @@ class Parser:
         return ast.Closure(params, body, is_move, span=span)
 
     def _parse_path_or_macro(self) -> ast.Expr:
-        start = self._peek().span
+        tokens = self.tokens
+        start = tokens[self.pos].span
         segments = [self._expect(T.IDENT).text]
         generic_args: list[Ty] = []
-        while self._at(T.COLONCOLON):
+        while tokens[self.pos].kind is T.COLONCOLON:
             nxt = self._peek(1)
             if nxt.kind is T.IDENT:
                 self._advance()
@@ -699,7 +728,8 @@ class Parser:
                 break
 
         # Macro invocation: `name!(...)` or `vec![...]`.
-        if self._at(T.BANG) and len(segments) == 1 and segments[0] in _MACRO_NAMES:
+        kind = tokens[self.pos].kind
+        if kind is T.BANG and len(segments) == 1 and segments[0] in _MACRO_NAMES:
             self._advance()
             if self._eat(T.LBRACKET):
                 # Support the `vec![elem; count]` repeat form.
@@ -730,7 +760,7 @@ class Parser:
 
         # Struct literal: `Name { field: expr, .. }` when allowed.
         if (
-            self._at(T.LBRACE)
+            kind is T.LBRACE
             and not self._no_struct_lit
             and len(segments) == 1
             and segments[0][0:1].isupper()
@@ -764,6 +794,8 @@ def _is_block_like(expr: ast.Expr) -> bool:
 
 def _parse_int_text(text: str) -> tuple[int, str | None]:
     """Split an integer literal into (value, suffix)."""
+    if text.isdigit():  # the common case: plain decimal, no suffix
+        return int(text), None
     suffix = None
     body = text
     for candidate in ("i128", "u128", "isize", "usize", "i16", "u16", "i32",

@@ -3,7 +3,7 @@
 The repair agents rewrite ASTs; the printer regenerates canonical source so
 that repaired programs can be re-parsed, diffed, stored in the knowledge base,
 and shown to users. ``parse(print(ast))`` is structurally idempotent — the
-property tests in ``tests/lang/test_roundtrip.py`` check this.
+property tests in ``tests/lang/test_roundtrip_properties.py`` check this.
 """
 
 from __future__ import annotations

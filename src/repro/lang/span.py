@@ -7,17 +7,48 @@ Miri diagnostics reference ``file.rs:line:col``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
-@dataclass(frozen=True)
 class Span:
-    """Half-open byte range ``[start, end)`` in the original source text."""
+    """Half-open byte range ``[start, end)`` in the original source text.
 
-    start: int
-    end: int
-    line: int
-    col: int
+    An immutable value: assigning an attribute raises
+    :class:`~dataclasses.FrozenInstanceError`, and spans compare, hash and
+    pickle by value.  Slotted and built through its slot descriptors
+    rather than a frozen dataclass, because the lexer makes one per token
+    and a frozen dataclass's ``__init__`` costs twice as much.
+    """
+
+    __slots__ = ("start", "end", "line", "col")
+
+    def __init__(self, start: int, end: int, line: int, col: int):
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_line(self, line)
+        _set_col(self, col)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Span:
+            return NotImplemented
+        return (self.start, self.end, self.line, self.col) == \
+            (other.start, other.end, other.line, other.col)
+
+    def __hash__(self):
+        return hash((self.start, self.end, self.line, self.col))
+
+    def __reduce__(self):
+        return Span, (self.start, self.end, self.line, self.col)
+
+    def __repr__(self) -> str:
+        return (f"Span(start={self.start!r}, end={self.end!r}, "
+                f"line={self.line!r}, col={self.col!r})")
 
     def merge(self, other: "Span") -> "Span":
         """Return the smallest span covering both ``self`` and ``other``."""
@@ -30,6 +61,11 @@ class Span:
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
+
+_set_start = Span.start.__set__
+_set_end = Span.end.__set__
+_set_line = Span.line.__set__
+_set_col = Span.col.__set__
 
 DUMMY_SPAN = Span(0, 0, 0, 0)
 

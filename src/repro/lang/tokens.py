@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from .span import Span
 
@@ -98,6 +98,13 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
+#: The members of :class:`TokenKind` as attributes of a plain class, so that
+#: ``KIND.IDENT is TokenKind.IDENT``.  On Python 3.11 ``EnumType`` defines
+#: ``__getattr__``, which sends every attribute lookup on an Enum class down
+#: a slow path (about 150 ns, ten times a plain class attribute), and the
+#: parser compares token kinds several times per token.
+KIND = type("KIND", (), dict(TokenKind.__members__))
+
 KEYWORDS = {
     "as": TokenKind.KW_AS,
     "break": TokenKind.KW_BREAK,
@@ -134,14 +141,42 @@ INT_SUFFIXES = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    span: Span
+    """One lexed token: its kind, its exact source text and its span.
 
-    def is_kw(self, *kinds: TokenKind) -> bool:
-        return self.kind in kinds
+    An immutable slotted value like :class:`~repro.lang.span.Span`, for
+    the same reason: the lexer makes one per token.
+    """
+
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: TokenKind, text: str, span: Span):
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_span(self, span)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.text, self.span) == \
+            (other.kind, other.text, other.span)
+
+    def __hash__(self):
+        return hash((self.kind, self.text, self.span))
+
+    def __reduce__(self):
+        return Token, (self.kind, self.text, self.span)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r}@{self.span})"
+
+
+_set_kind = Token.kind.__set__
+_set_text = Token.text.__set__
+_set_span = Token.span.__set__

@@ -55,7 +55,7 @@ from ..lang import ast_nodes as ast
 from ..lang.lexer import tokenize
 from ..lang.parser import _MACRO_NAMES, parse_program
 from ..lang.printer import print_program
-from ..lang.tokens import TokenKind as T
+from ..lang.tokens import KIND as T
 from ..lang.types import PRIMITIVES
 
 #: Bump when the normalization rules change, so fingerprints from two code

@@ -1,9 +1,13 @@
 """Unit tests for the mini-Rust lexer."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.lang.lexer import LexError, tokenize
-from repro.lang.tokens import TokenKind as T
+from repro.lang.span import Span
+from repro.lang.tokens import Token, TokenKind as T
 
 
 def kinds(source):
@@ -136,3 +140,60 @@ class TestRealisticSnippets:
 
     def test_attribute_tokens(self):
         assert kinds("#[derive(Debug)]")[0] is T.HASH
+
+
+class TestTokenValue:
+    """``Token`` is an immutable value like ``Span``."""
+
+    def test_assignment_raises(self):
+        tok = tokenize("x")[0]
+        with pytest.raises(FrozenInstanceError):
+            tok.text = "y"
+        with pytest.raises(FrozenInstanceError):
+            del tok.kind
+        assert tok.text == "x"
+        assert not hasattr(tok, "__dict__")
+
+    def test_equality_and_hash_by_value(self):
+        first, second = tokenize("x"), tokenize("x")
+        assert first == second and first[0] is not second[0]
+        assert hash(first[0]) == hash(second[0])
+        assert len({*first, *second}) == 2  # `x` and EOF
+        assert tokenize("x")[0] != tokenize(" x")[0]  # the span differs
+        assert Token(T.IDENT, "x", Span(0, 1, 1, 1)) == tokenize("x")[0]
+
+    def test_pickle_round_trip(self):
+        tokens = tokenize("let x = 'a' + \"s\";")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(tokens, protocol)) == tokens
+
+    def test_repr(self):
+        assert repr(tokenize("\n  foo")[0]) == "Token(IDENT, 'foo'@2:3)"
+
+
+class TestPositions:
+    def test_column_after_multiline_string(self):
+        toks = tokenize('"a\nbc" x')
+        assert (toks[1].text, toks[1].span.line, toks[1].span.col) == \
+            ("x", 2, 5)
+
+    def test_column_after_nested_block_comment(self):
+        toks = tokenize("/* a /* b\n */ c */ y")
+        assert (toks[0].span.line, toks[0].span.col) == (2, 10)
+
+    def test_unterminated_block_comment_runs_to_end(self):
+        assert kinds("1 /* /* */") == [T.INT]
+
+    def test_eof_span_is_after_trailing_trivia(self):
+        eof = tokenize("x\n// c\n  ")[-1]
+        assert (eof.span.start, eof.span.line, eof.span.col) == (9, 3, 3)
+
+    def test_error_positions(self):
+        for source, message, where in (
+                ('x\n  "open', "unterminated string literal", (2, 3)),
+                ("x '\\q", "unterminated char literal", (1, 3)),
+                ("a\n b $", "unexpected character '$'", (2, 4))):
+            with pytest.raises(LexError) as err:
+                tokenize(source)
+            assert (err.value.message, err.value.line, err.value.col) == \
+                (message, *where)

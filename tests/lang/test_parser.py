@@ -3,7 +3,9 @@
 import pytest
 
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import ParseError, parse_expr, parse_program
+from repro.lang.parser import Parser, ParseError, parse_expr, parse_program
+from repro.lang.span import Span
+from repro.lang.tokens import TokenKind as T
 from repro.lang import types as ty
 
 
@@ -387,3 +389,23 @@ class TestParseMemoization:
         for _ in range(2):
             with pytest.raises(ParseError):
                 parse_program("fn main() { let = 3; }")
+
+
+class TestGenericCloseSplit:
+    """``_expect_gt`` splits ``>>`` and ``>=`` in place, also when the
+    split token is the last one before EOF."""
+
+    def test_shr_at_end_of_input(self):
+        parser = Parser("Vec<Vec<i32>>")
+        parsed = parser.parse_type()
+        assert parsed == ty.TyPath("Vec", (ty.TyPath("Vec", (ty.I32,)),))
+        assert parser._peek().kind is T.EOF
+        assert parser._peek(2).kind is T.EOF
+
+    def test_ge_at_end_of_input(self):
+        parser = Parser("Vec<u8>=")
+        assert parser.parse_type() == ty.TyPath("Vec", (ty.U8,))
+        rest = parser._advance()
+        assert (rest.kind, rest.text, rest.span) == (T.EQ, "=", Span(7, 8, 1, 8))
+        assert parser._advance().kind is T.EOF
+        assert parser._advance().kind is T.EOF  # EOF is never passed

@@ -1,6 +1,12 @@
 """Tests for the span line/column helpers shared by parser errors and
 checker diagnostics."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.lang.span import (DUMMY_SPAN, Span, line_col, render_snippet,
                              source_line, span_at)
 
@@ -69,3 +75,46 @@ class TestRenderSnippet:
 
     def test_dummy_span_renders_location_only(self):
         assert render_snippet(SOURCE, DUMMY_SPAN) == "  --> 0:0"
+
+
+class TestSpanValue:
+    """``Span`` is an immutable value: it compares, hashes and pickles by
+    its four fields and refuses assignment."""
+
+    def test_assignment_raises(self):
+        span = Span(1, 2, 3, 4)
+        with pytest.raises(FrozenInstanceError):
+            span.start = 9
+        with pytest.raises(AttributeError):
+            span.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del span.line
+        assert span.start == 1 and span.line == 3
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Span(1, 2, 3, 4), "__dict__")
+
+    def test_equality_and_hash_by_value(self):
+        assert Span(1, 2, 3, 4) == Span(1, 2, 3, 4)
+        assert Span(1, 2, 3, 4) != Span(1, 2, 3, 5)
+        assert hash(Span(1, 2, 3, 4)) == hash(Span(1, 2, 3, 4))
+        assert hash(Span(1, 2, 3, 4)) == hash((1, 2, 3, 4))
+        assert len({Span(1, 2, 3, 4), Span(1, 2, 3, 4), DUMMY_SPAN}) == 2
+        assert Span(1, 2, 3, 4) != (1, 2, 3, 4)
+
+    def test_pickle_and_copy_round_trip(self):
+        span = Span(5, 9, 2, 3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(span, protocol))
+            assert again == span and type(again) is Span
+        assert copy.copy(span) == span
+        assert copy.deepcopy(span) == span
+
+    def test_repr_and_str(self):
+        assert repr(Span(1, 2, 3, 4)) == \
+            "Span(start=1, end=2, line=3, col=4)"
+        assert str(Span(1, 2, 3, 4)) == "3:4"
+
+    def test_merge(self):
+        a, b = Span(10, 12, 2, 1), Span(4, 6, 1, 5)
+        assert a.merge(b) == Span(4, 12, 1, 5) == b.merge(a)
